@@ -31,7 +31,7 @@ from bend.dataset import (
     write_query_rows,
 )
 from bend.pipeline import RunConfig, aggregate_csv_lines, evaluate, parse_query_row
-from bend.reporting import dump
+from bend.reporting import dumps
 
 
 def build_spec(args) -> SynthSpec:
@@ -77,7 +77,7 @@ def main() -> int:
 
     spec = build_spec(args)
     table = synth_generate(spec)
-    reference, target, _ = split_reference_target(
+    reference, target = split_reference_target(
         table, SplitSpec(0.5, args.folds, args.split_seed)
     )
     out_dir = args.out_dir
@@ -109,7 +109,7 @@ def main() -> int:
         },
     )
     elapsed = time.perf_counter() - started
-    dump(report, out_dir / "evaluation.json")
+    (out_dir / "evaluation.json").write_text(dumps(report), encoding="utf-8")
     (out_dir / "evaluation.csv").write_text(
         "\n".join(aggregate_csv_lines(report)) + "\n", encoding="utf-8"
     )

@@ -13,7 +13,6 @@ from .augment import (
 )
 from .client import EmbeddingEndpoint, embed_text
 from .dataset import (
-    DatasetManifest,
     LabeledEmbeddingTable,
     SplitSpec,
     SynthCell,
@@ -35,7 +34,6 @@ from .equalize import (
     debias,
     solve_binary,
     solve_general,
-    solve_numeric_oracle,
 )
 from .errors import BendError
 from .metrics import (
@@ -51,14 +49,11 @@ from .reference_index import (
     RelevantSubsets,
     Retrieved,
     build_index,
-    elbow_n,
     retrieve_top_k,
     top_n_by_attribute,
 )
 from .subspace import AttributeMatrix, build_attribute_matrix, orthogonalize
 from .vectors import (
-    cosine_distance,
-    cosine_similarity,
     gram_schmidt,
     mean_embedding,
     normalize,

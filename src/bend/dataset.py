@@ -23,6 +23,7 @@ from .errors import (
     EmptyTable,
     ManifestError,
     MetadataError,
+    NonUnitRow,
     SizeMismatch,
     SynthSpecError,
     TooSmall,
@@ -35,6 +36,8 @@ MANIFEST_NAME = "manifest.json"
 VECTORS_NAME = "vectors.f32"
 META_NAME = "meta.jsonl"
 QUERIES_NAME = "queries.jsonl"
+# Largest |squared row norm - 1| a table accepts.
+UNIT_NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,15 +64,23 @@ class LabeledEmbeddingTable:
             labels = self.attributes.get(name)
             if labels is None or len(labels) != n:
                 raise MetadataError(f"attribute {name!r} must label every record")
-            allowed = set(space.values)
-            for label in labels:
-                if label not in allowed:
-                    raise UnknownLabel(
-                        f"label {label!r} outside attribute {name!r} values"
-                    )
+            unknown = set(labels) - set(space.values)
+            if unknown:
+                raise UnknownLabel(
+                    f"labels {', '.join(sorted(map(repr, unknown)))} outside "
+                    f"attribute {name!r} values"
+                )
         for name in self.attributes:
             if name not in self.spaces:
                 raise MetadataError(f"labels present for undeclared attribute {name!r}")
+        # Similarity is a plain dot product downstream, so rows must be unit.
+        squared_norms = np.einsum("ij,ij->i", self.vectors, self.vectors)
+        bad = np.flatnonzero(~(np.abs(squared_norms - 1.0) <= UNIT_NORM_TOL))
+        if bad.size:
+            raise NonUnitRow(
+                f"record {self.ids[bad[0]]!r} has squared norm "
+                f"{float(squared_norms[bad[0]])!r}; rows must be unit-normalized"
+            )
 
     @property
     def count(self) -> int:
@@ -82,7 +93,7 @@ class LabeledEmbeddingTable:
     def subset(self, indices: Sequence[int]) -> "LabeledEmbeddingTable":
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledEmbeddingTable(
-            vectors=self.vectors[idx].copy(),
+            vectors=self.vectors[idx],
             ids=tuple(self.ids[i] for i in idx),
             attributes={
                 name: tuple(labels[i] for i in idx)
@@ -91,16 +102,6 @@ class LabeledEmbeddingTable:
             classes=tuple(self.classes[i] for i in idx),
             spaces=dict(self.spaces),
         )
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    dim: int
-    count: int
-    dtype: str
-    vectors_file: str
-    meta_file: str
-    attributes: tuple[AttributeSpace, ...]
 
 
 @dataclass(frozen=True)
@@ -204,18 +205,23 @@ def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
             record = json.loads(line)
         except ValueError:
             raise MetadataError(f"metadata line {lineno} is not valid JSON") from None
+        if not isinstance(record, dict):
+            raise MetadataError(f"metadata line {lineno} is not a JSON object")
         record_id = record.get("id")
         if not isinstance(record_id, str) or not record_id:
             raise MetadataError(f"metadata line {lineno} is missing a string 'id'")
         ids.append(record_id)
         classes.append(record.get("class"))
         attrs = record.get("attributes") or {}
+        if not isinstance(attrs, dict):
+            raise MetadataError(f"metadata line {lineno} 'attributes' is not an object")
         for name in spaces:
-            if name not in attrs:
+            label = attrs.get(name)
+            if not isinstance(label, str):
                 raise MetadataError(
-                    f"metadata line {lineno} is missing attribute {name!r}"
+                    f"metadata line {lineno} needs a string label for attribute {name!r}"
                 )
-            labels[name].append(attrs[name])
+            labels[name].append(label)
 
     return LabeledEmbeddingTable(
         vectors=_normalized_rows(raw, "dataset"),
@@ -228,8 +234,9 @@ def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
 
 def write_dataset(
     table: LabeledEmbeddingTable, out_dir: str | Path, force: bool = False
-) -> DatasetManifest:
-    """Persist a table; refuses to overwrite a non-empty directory without force."""
+) -> Path:
+    """Persist a table and return its manifest path; refuses to overwrite a
+    non-empty directory without force."""
     out_dir = Path(out_dir)
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         raise DatasetIOError(
@@ -251,29 +258,20 @@ def write_dataset(
                 if table.classes[i] is not None:
                     record["class"] = table.classes[i]
                 handle.write(json.dumps(record) + "\n")
-        manifest = DatasetManifest(
-            dim=table.dim,
-            count=table.count,
-            dtype=DTYPE,
-            vectors_file=VECTORS_NAME,
-            meta_file=META_NAME,
-            attributes=tuple(table.spaces.values()),
-        )
-        manifest_json = {
+        manifest = {
             "schema": "bend/1",
-            "dim": manifest.dim,
-            "count": manifest.count,
-            "dtype": manifest.dtype,
-            "vectors_file": manifest.vectors_file,
-            "meta_file": manifest.meta_file,
-            "attributes": [_space_to_json(s) for s in manifest.attributes],
+            "dim": table.dim,
+            "count": table.count,
+            "dtype": DTYPE,
+            "vectors_file": VECTORS_NAME,
+            "meta_file": META_NAME,
+            "attributes": [_space_to_json(s) for s in table.spaces.values()],
         }
-        (out_dir / MANIFEST_NAME).write_text(
-            json.dumps(manifest_json, indent=2) + "\n", encoding="utf-8"
-        )
+        manifest_path = out_dir / MANIFEST_NAME
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
         raise DatasetIOError(f"failed writing dataset to {out_dir}: {exc}") from None
-    return manifest
+    return manifest_path
 
 
 def make_folds(count: int, fold_count: int, seed: int) -> list[list[int]]:
@@ -289,11 +287,11 @@ def make_folds(count: int, fold_count: int, seed: int) -> list[list[int]]:
 
 def split_reference_target(
     table: LabeledEmbeddingTable, spec: SplitSpec
-) -> tuple[LabeledEmbeddingTable, LabeledEmbeddingTable, list[list[int]]]:
-    """Seeded disjoint reference/target split plus target fold partition.
+) -> tuple[LabeledEmbeddingTable, LabeledEmbeddingTable]:
+    """Seeded disjoint reference/target split.
 
-    Folds are returned as row positions into the target table; fold sizes
-    differ by at most one.
+    The target keeps at least ``spec.fold_count`` records so that evaluation
+    (which draws its own folds with ``make_folds``) can partition it.
     """
     if table.count < spec.fold_count * 2:
         raise TooSmall(
@@ -304,13 +302,7 @@ def split_reference_target(
     order = rng.permutation(table.count)
     n_ref = int(round(table.count * spec.reference_fraction))
     n_ref = min(max(n_ref, 1), table.count - spec.fold_count)
-    reference = table.subset(order[:n_ref])
-    target = table.subset(order[n_ref:])
-    folds = [
-        chunk.tolist()
-        for chunk in np.array_split(np.arange(target.count), spec.fold_count)
-    ]
-    return reference, target, folds
+    return table.subset(order[:n_ref]), table.subset(order[n_ref:])
 
 
 # -- synthetic generation -----------------------------------------------------

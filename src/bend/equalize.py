@@ -4,14 +4,13 @@ is equal across attribute groups.
 The constraints "mean similarity to group i equals mean similarity to group
 1" are homogeneous linear in the embedding, so the closest unit vector to the
 input that satisfies them is the normalized projection of the input onto the
-constraint null-space. The binary case additionally exposes the Lagrange
-multiplier of the equivalent single-constraint problem; a projected-ascent
-numeric solver is kept solely as an independent test oracle.
+constraint null-space. The binary case additionally reads off the Lagrange
+multiplier of the equivalent single-constraint problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -19,13 +18,12 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateMeans,
-    NoConvergence,
     QueryInsideConstraintSpan,
     ZeroResult,
 )
 from .metrics import group_distance_gap
 from .subspace import AttributeMatrix, orthogonalize
-from .vectors import Vector, as_vector, gram_schmidt, normalize
+from .vectors import Vector, as_vector, gram_schmidt, normalize, project_out
 
 MEANS_EQUAL_EPS = 1e-10
 GAP_EPS = 1e-12
@@ -39,12 +37,6 @@ class EqualizationSolution:
     z_star: Vector
     lam: float | None             # Lagrange multiplier, binary closed form only
     residuals: tuple[float, ...]  # |mu_i . z* - mu_1 . z*| for i >= 2
-    method: str                   # analytic-binary | projection-general | numeric
-    iterations: int | None = None  # numeric oracle only
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
 
 
 def _residuals(z: Vector, means: Sequence[Vector]) -> tuple[float, ...]:
@@ -53,39 +45,29 @@ def _residuals(z: Vector, means: Sequence[Vector]) -> tuple[float, ...]:
 
 
 def solve_binary(z_prime, mu1, mu2) -> EqualizationSolution:
-    """Closed-form equalization for a binary attribute.
+    """Equalization for a binary attribute, with its Lagrange multiplier.
 
-    With raw (unnormalized) group means mu1, mu2 and a unit-norm input z',
-    the minimizer is normalize(z' - lam*mu2 + lam*mu1) with
-
-        lam = (mu1.z' - mu2.z') / (2*mu1.mu2 - mu2.mu2 - mu1.mu1)
-
-    whose denominator is -||mu2 - mu1||^2.
+    With raw (unnormalized) group means mu1, mu2, d = mu2 - mu1 and a
+    unit-norm input z', the minimizer is normalize(z' - lam*d) with
+    lam = d.z' / ||d||^2: the null-space projection of ``solve_general``.
     """
     z = as_vector(z_prime)
     m1 = as_vector(mu1)
     m2 = as_vector(mu2)
+    d = m2 - m1
     gap = float(m1 @ z) - float(m2 @ z)
-    diff_norm = float(np.linalg.norm(m1 - m2))
-    if diff_norm <= MEANS_EQUAL_EPS:
-        if abs(gap) <= GAP_EPS:
-            # Identical means satisfy the constraint for every z.
-            return EqualizationSolution(z.copy(), 0.0, _residuals(z, (m1, m2)),
-                                        "analytic-binary")
+    if abs(gap) <= GAP_EPS:
+        # Already equal, or identical means satisfy the constraint for every z.
+        return EqualizationSolution(z.copy(), 0.0, _residuals(z, (m1, m2)))
+    if float(np.linalg.norm(d)) <= MEANS_EQUAL_EPS:
         raise DegenerateMeans(
             "group means coincide but mean similarities differ; input is inconsistent"
         )
-    if abs(gap) <= GAP_EPS:
-        return EqualizationSolution(z.copy(), 0.0, _residuals(z, (m1, m2)),
-                                    "analytic-binary")
-    denominator = 2.0 * float(m1 @ m2) - float(m2 @ m2) - float(m1 @ m1)
-    lam = gap / denominator
-    unnormalized = z - lam * m2 + lam * m1
-    if float(np.linalg.norm(unnormalized)) < RESULT_EPS:
-        raise ZeroResult("equalized vector collapsed to zero")
-    z_star = normalize(unnormalized)
-    return EqualizationSolution(z_star, lam, _residuals(z_star, (m1, m2)),
-                                "analytic-binary")
+    try:
+        solution = solve_general(z, (m1, m2))
+    except QueryInsideConstraintSpan:
+        raise ZeroResult("equalized vector collapsed to zero") from None
+    return replace(solution, lam=float(d @ z) / float(d @ d))
 
 
 def solve_general(z_prime, means: Sequence) -> EqualizationSolution:
@@ -102,83 +84,14 @@ def solve_general(z_prime, means: Sequence) -> EqualizationSolution:
         raise ConfigError("equalization needs at least two group means")
     deltas = [m - mus[0] for m in mus[1:]]
     if all(float(np.linalg.norm(d)) <= MEANS_EQUAL_EPS for d in deltas):
-        return EqualizationSolution(z.copy(), None, _residuals(z, mus),
-                                    "projection-general")
-    basis, _ = gram_schmidt(deltas)
-    residual = z - basis.T @ (basis @ z)
-    residual -= basis.T @ (basis @ residual)
+        return EqualizationSolution(z.copy(), None, _residuals(z, mus))
+    residual = project_out(z, gram_schmidt(deltas)[0])
     if float(np.linalg.norm(residual)) < RESULT_EPS:
         raise QueryInsideConstraintSpan(
             "query lies inside the span of the constraint directions"
         )
     z_star = normalize(residual)
-    return EqualizationSolution(z_star, None, _residuals(z_star, mus),
-                                "projection-general")
-
-
-def _span_basis_svd(deltas: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the row span via SVD (independent of gram_schmidt)."""
-    if deltas.size == 0:
-        return np.empty((0, deltas.shape[1] if deltas.ndim == 2 else 0))
-    _, singular, vt = np.linalg.svd(deltas, full_matrices=False)
-    keep = singular > 1e-12 * (singular[0] if singular.size else 1.0)
-    return vt[keep]
-
-
-def solve_numeric_oracle(
-    z_prime,
-    means: Sequence,
-    tol: float = 1e-10,
-    max_iterations: int = 10000,
-) -> EqualizationSolution:
-    """Projected-ascent maximizer of z.z' on the constrained unit sphere.
-
-    Alternates a tangent gradient step toward z', projection onto the
-    complement of the constraint span, and renormalization. Intended as an
-    independent oracle for the closed forms, not a production path.
-    """
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
-    z_ref = as_vector(z_prime)
-    mus = [as_vector(m) for m in means]
-    if len(mus) < 2:
-        raise ConfigError("equalization needs at least two group means")
-    deltas = np.stack([m - mus[0] for m in mus[1:]])
-    span = _span_basis_svd(deltas)
-
-    def project(x: np.ndarray) -> np.ndarray:
-        if span.shape[0] == 0:
-            return x
-        return x - span.T @ (span @ x)
-
-    start = project(z_ref)
-    start_norm = float(np.linalg.norm(start))
-    if start_norm < RESULT_EPS:
-        raise QueryInsideConstraintSpan(
-            "query lies inside the span of the constraint directions"
-        )
-    z = start / start_norm
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        gradient = z_ref - float(z @ z_ref) * z
-        stepped = project(z + gradient)
-        norm = float(np.linalg.norm(stepped))
-        if norm < RESULT_EPS:
-            raise ZeroResult("ascent step collapsed to zero")
-        z_new = stepped / norm
-        change = float(np.linalg.norm(z_new - z))
-        z = z_new
-        if change < tol:
-            converged = True
-            break
-    residuals = _residuals(z, mus)
-    if not converged and max(residuals, default=0.0) > 1e-6:
-        raise NoConvergence(
-            f"no convergence after {max_iterations} iterations; "
-            f"max residual {max(residuals):.3e}"
-        )
-    return EqualizationSolution(z, None, residuals, "numeric", iterations=iterations)
+    return EqualizationSolution(z_star, None, _residuals(z_star, mus))
 
 
 @dataclass(frozen=True)
@@ -208,43 +121,29 @@ def _equalize(z: Vector, subsets) -> EqualizationSolution:
 def debias(query_emb, matrix: AttributeMatrix | None, subsets, mode: str) -> DebiasReport:
     """Run one ablation mode of the two-step debiasing pipeline.
 
-    ``subsets`` supplies the per-value relevant reference records whose raw
-    means define the equalization constraints; the report records the
-    group-distance gap over those records at every stage it produces.
+    ``subsets`` supplies the per-value raw means of the relevant reference
+    records, which define the equalization constraints; the report records
+    the group-distance gap over those records at every stage it produces.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     query = normalize(query_emb)
-    groups = subsets.group_vectors()
+    means = subsets.means
     gap_by_stage: dict[str, float | None] = {
-        "baseline": group_distance_gap(query, groups),
+        "baseline": group_distance_gap(query, means),
         "step1": None,
     }
     step1 = None
+    if mode in ("step1-only", "full"):
+        step1 = orthogonalize(query, matrix)
+        gap_by_stage["step1"] = group_distance_gap(step1, means)
+    final = query if step1 is None else step1
     lam = None
     residuals: tuple[float, ...] = ()
-    dropped = matrix.dropped_count if matrix is not None else 0
-
-    if mode == "baseline":
-        final = query
-    elif mode == "step1-only":
-        step1 = orthogonalize(query, matrix)
-        gap_by_stage["step1"] = group_distance_gap(step1, groups)
-        final = step1
-    elif mode == "step2-only":
-        solution = _equalize(query, subsets)
-        lam = solution.lam
-        residuals = solution.residuals
-        final = solution.z_star
-    else:  # full
-        step1 = orthogonalize(query, matrix)
-        gap_by_stage["step1"] = group_distance_gap(step1, groups)
-        solution = _equalize(step1, subsets)
-        lam = solution.lam
-        residuals = solution.residuals
-        final = solution.z_star
-
-    gap_by_stage["final"] = group_distance_gap(final, groups)
+    if mode in ("step2-only", "full"):
+        solution = _equalize(final, subsets)
+        final, lam, residuals = solution.z_star, solution.lam, solution.residuals
+    gap_by_stage["final"] = group_distance_gap(final, means)
     return DebiasReport(
         mode=mode,
         baseline=query,
@@ -252,6 +151,6 @@ def debias(query_emb, matrix: AttributeMatrix | None, subsets, mode: str) -> Deb
         final=final,
         lam=lam,
         residuals=residuals,
-        dropped_columns=dropped,
+        dropped_columns=matrix.dropped_count if matrix is not None else 0,
         distance_gap=gap_by_stage,
     )

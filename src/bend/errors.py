@@ -66,10 +66,6 @@ class EmptyGroup(BendError):
     pass
 
 
-class TooFewPoints(BendError):
-    pass
-
-
 class SupportViolation(BendError):
     pass
 
@@ -92,6 +88,10 @@ class SizeMismatch(BendError):
 
 class MetadataError(BendError):
     pass
+
+
+class NonUnitRow(BendError):
+    """A table row whose norm is not 1: ingest normalizes, code must too."""
 
 
 class TooSmall(BendError):
@@ -129,8 +129,4 @@ class ZeroResult(BendError):
 
 
 class QueryInsideConstraintSpan(BendError):
-    exit_code = 6
-
-
-class NoConvergence(BendError):
     exit_code = 6

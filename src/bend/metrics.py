@@ -18,35 +18,29 @@ from .errors import (
     SupportViolation,
     UnknownLabel,
 )
-from .vectors import cosine_distance
+from .vectors import as_vector, normalize
 
 PROB_EPS = 1e-12
 
 
-def group_distance_gap(z, groups: Mapping[str, Sequence]) -> float:
+def group_distance_gap(z, means: Mapping[str, Sequence[float]]) -> float:
     """Largest gap between per-group mean cosine distances from ``z``.
 
-    For two groups this is the absolute difference of the group-average
-    distances; for more it is the maximum over unordered group pairs.
-    Expectations are replaced by sample averages over the supplied members.
+    Each group is given by the raw mean of its unit-norm members. The mean
+    cosine distance from unit z to the members is then 1 - z.mean, so the
+    gap is the spread of z.mean over groups: the absolute difference for two
+    groups, the maximum over unordered group pairs for more.
     """
-    if not groups:
+    if not means:
         raise EmptyGroup("no groups supplied")
-    mean_dists = []
-    for value, members in groups.items():
-        rows = np.asarray(members, dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows.reshape(1, -1) if rows.size else rows.reshape(0, 0)
-        if rows.shape[0] == 0:
+    q = normalize(z)
+    similarities = []
+    for value, mean in means.items():
+        mu = as_vector(mean)
+        if mu.size == 0:
             raise EmptyGroup(f"group {value!r} is empty")
-        mean_dists.append(float(np.mean([cosine_distance(z, row) for row in rows])))
-    if len(mean_dists) == 1:
-        return 0.0
-    worst = 0.0
-    for i in range(len(mean_dists)):
-        for j in range(i + 1, len(mean_dists)):
-            worst = max(worst, abs(mean_dists[i] - mean_dists[j]))
-    return worst
+        similarities.append(float(q @ mu))
+    return max(similarities) - min(similarities)
 
 
 def _check_support(retrieved: Mapping[str, float], prior: Mapping[str, float]) -> None:

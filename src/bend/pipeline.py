@@ -102,10 +102,17 @@ class QueryRow:
     generic: dict[str, Vector] | None = None
 
 
+def _numeric_vector(values, what: str) -> Vector:
+    try:
+        return as_vector(values)
+    except (TypeError, ValueError):
+        raise MetadataError(f"{what} holds a non-numeric vector") from None
+
+
 def _vector_map(obj, what: str) -> dict[str, Vector]:
     if not isinstance(obj, dict):
         raise MetadataError(f"{what} must map attribute values to vectors")
-    return {str(k): as_vector(v) for k, v in obj.items()}
+    return {str(k): _numeric_vector(v, f"{what} {k!r}") for k, v in obj.items()}
 
 
 def parse_query_row(record: dict, lineno: int = 0) -> QueryRow:
@@ -126,7 +133,7 @@ def parse_query_row(record: dict, lineno: int = 0) -> QueryRow:
     return QueryRow(
         id=query_id,
         text=text if text is None else str(text),
-        vector=None if vector is None else as_vector(vector),
+        vector=None if vector is None else _numeric_vector(vector, f"query {query_id!r}"),
         class_label=record.get("class"),
         augmented=(
             _vector_map(record["augmented"], "augmented")

@@ -8,30 +8,25 @@ break by ascending record id so runs are reproducible across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .augment import AttributeSpace
 from .dataset import LabeledEmbeddingTable
-from .errors import ConfigError, EmptyGroup, EmptyTable, TooFewPoints, UnknownLabel
-from .vectors import Vector, ZERO_NORM_EPS, as_vector, mean_embedding, normalize
+from .errors import ConfigError, EmptyGroup, EmptyTable, UnknownLabel
+from .vectors import Vector, normalize
 
 
 @dataclass(frozen=True)
 class RelevantSubsets:
-    """Per-attribute-value relevant records: indices, raw means, and vectors."""
+    """Per-attribute-value relevant records: row indices and raw row means."""
 
     indices: dict[str, tuple[int, ...]]
     means: dict[str, Vector]
-    vectors: dict[str, np.ndarray]
 
     @property
     def n_used(self) -> dict[str, int]:
         return {value: len(ix) for value, ix in self.indices.items()}
-
-    def group_vectors(self) -> dict[str, np.ndarray]:
-        return self.vectors
 
 
 @dataclass(frozen=True)
@@ -44,14 +39,10 @@ class Retrieved:
 
 
 class ReferenceIndex:
-    """Immutable index: normalized matrix plus per-attribute-value partitions."""
+    """Immutable index: the table's unit rows plus per-attribute-value partitions."""
 
     def __init__(self, table: LabeledEmbeddingTable):
-        norms = np.linalg.norm(table.vectors, axis=1)
-        if np.any(norms <= ZERO_NORM_EPS):
-            raise EmptyTable("table contains zero vectors; normalize on ingest")
         self.table = table
-        self.matrix = table.vectors / norms[:, None]
         self.partitions: dict[str, dict[str, np.ndarray]] = {}
         for name, space in table.spaces.items():
             labels = np.array(table.attributes[name])
@@ -65,12 +56,12 @@ class ReferenceIndex:
         return self.partitions[attribute]
 
     def group_means(self, attribute: str) -> dict[str, Vector]:
-        """Mean of the normalized vectors for every value with members."""
+        """Raw mean of the unit rows for every value with members."""
         out = {}
         for value, idx in self.partition(attribute).items():
             if idx.size == 0:
                 raise EmptyGroup(f"attribute value {value!r} has no records")
-            out[value] = mean_embedding(self.matrix[idx])
+            out[value] = self.table.vectors[idx].mean(axis=0)
         return out
 
 
@@ -95,21 +86,20 @@ def top_n_by_attribute(
         raise ConfigError("n must be at least 1")
     q = normalize(query)
     partition = index.partition(space.name)
+    rows = index.table.vectors
     ids = np.array(index.table.ids)
     indices: dict[str, tuple[int, ...]] = {}
     means: dict[str, Vector] = {}
-    vectors: dict[str, np.ndarray] = {}
     for value in space.values:
         members = partition.get(value)
         if members is None or members.size == 0:
             raise EmptyGroup(f"attribute value {value!r} has no reference records")
-        similarities = index.matrix[members] @ q
+        similarities = rows[members] @ q
         order = _ranked(ids[members], similarities)
         chosen = members[order[: min(n, members.size)]]
         indices[value] = tuple(int(i) for i in chosen)
-        vectors[value] = index.matrix[chosen].copy()
-        means[value] = mean_embedding(vectors[value])
-    return RelevantSubsets(indices=indices, means=means, vectors=vectors)
+        means[value] = rows[chosen].mean(axis=0)
+    return RelevantSubsets(indices=indices, means=means)
 
 
 def retrieve_top_k(table: LabeledEmbeddingTable, query, k: int) -> list[Retrieved]:
@@ -134,26 +124,3 @@ def retrieve_top_k(table: LabeledEmbeddingTable, query, k: int) -> list[Retrieve
             )
         )
     return results
-
-
-def elbow_n(similarities: Sequence[float]) -> int:
-    """Knee point of a descending similarity curve, as a 1-based count.
-
-    Returns the number of points up to and including the one farthest from
-    the chord joining the first and last points (first maximizer on ties).
-    Offered as an alternative to a fixed n; off by default in the pipeline.
-    """
-    values = as_vector(similarities)
-    count = values.shape[0]
-    if count < 3:
-        raise TooFewPoints("elbow detection needs at least three points")
-    x = np.arange(count, dtype=np.float64)
-    dx = float(x[-1] - x[0])
-    dy = float(values[-1] - values[0])
-    # Perpendicular distance to the chord, up to a constant factor.
-    numerators = np.abs(dx * (values[0] - values) - (x[0] - x) * dy)
-    # Snap float noise to zero so a strictly linear decay (degenerate chord)
-    # deterministically yields the first maximizer.
-    tolerance = 1e-12 * (abs(dx) * float(np.max(np.abs(values))) + dx * abs(dy))
-    numerators[numerators <= tolerance] = 0.0
-    return int(np.argmax(numerators)) + 1

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -61,12 +60,6 @@ def _encode(obj, indent: int, level: int) -> str:
 
 def dumps(obj, indent: int = 2) -> str:
     return _encode(obj, indent, 0) + "\n"
-
-
-def dump(obj, path: str | Path, indent: int = 2) -> Path:
-    path = Path(path)
-    path.write_text(dumps(obj, indent=indent), encoding="utf-8")
-    return path
 
 
 def summary_stats(values) -> dict:

@@ -57,7 +57,7 @@ def acceptance_run_config() -> RunConfig:
 def run_acceptance_experiment() -> dict:
     spec = acceptance_spec()
     table = synth_generate(spec)
-    reference, target, _ = split_reference_target(
+    reference, target = split_reference_target(
         table, SplitSpec(reference_fraction=0.5, fold_count=5, seed=SPLIT_SEED)
     )
     queries = [parse_query_row(row) for row in synth_query_rows(spec)]

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from bend.dataset import MANIFEST_NAME, read_dataset, write_dataset
-from bend.equalize import solve_binary, solve_general, solve_numeric_oracle
+from bend.equalize import solve_binary, solve_general
 from bend.metrics import kl_divergence, max_skew, worst_group_auc
 from bend.reporting import dumps
 from bend.subspace import build_attribute_matrix, orthogonalize
 from bend.vectors import cosine_distance, normalize
 
 from experiment_setup import run_acceptance_experiment
+from numeric_oracle import solve_numeric_oracle
 from test_dataset import small_table
 from test_metrics import brute_force_auc
 

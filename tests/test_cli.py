@@ -18,6 +18,19 @@ from bend.dataset import (
 )
 from bend.augment import GENDER
 
+ROOT = Path(__file__).parent.parent
+
+
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m bend ARGS`` from the repository root, in a fresh process."""
+    return subprocess.run(
+        [sys.executable, "-m", "bend", *args],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin:/usr/local/bin"},
+    )
+
 
 def synth_spec_body(dim=16, seed=42, with_queries=True):
     body = {
@@ -52,7 +65,7 @@ def synth_dataset(tmp_path):
 @pytest.fixture
 def ref_target(tmp_path, synth_dataset):
     table = read_dataset(synth_dataset / MANIFEST_NAME)
-    reference, target, _ = split_reference_target(table, SplitSpec(0.5, 5, 13))
+    reference, target = split_reference_target(table, SplitSpec(0.5, 5, 13))
     write_dataset(reference, tmp_path / "ref")
     write_dataset(target, tmp_path / "target")
     return tmp_path / "ref" / MANIFEST_NAME, tmp_path / "target" / MANIFEST_NAME
@@ -276,12 +289,34 @@ class TestEndpointEnvVar:
 
 class TestModuleInvocation:
     def test_python_dash_m_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "bend", "--help"],
-            capture_output=True,
-            text=True,
-            cwd=Path(__file__).parent.parent,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin:/usr/local/bin"},
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "synth" in proc.stdout and "evaluate" in proc.stdout
+
+
+class TestBoundaryErrors:
+    def test_non_object_metadata_line_exits_5(self, ref_target):
+        _, target = ref_target
+        meta_path = target.parent / "meta.jsonl"
+        lines = meta_path.read_text().splitlines()
+        lines[0] = json.dumps(["not", "an", "object"])
+        meta_path.write_text("\n".join(lines) + "\n")
+        proc = run_module(
+            "retrieve", "--vector", json.dumps([1.0] + [0.0] * 15),
+            "--target", str(target),
+        )
+        assert proc.returncode == 5
+        assert "MetadataError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_numeric_query_vector_exits_5(self, ref_target, tmp_path):
+        ref, target = ref_target
+        queries = tmp_path / "q.jsonl"
+        queries.write_text(json.dumps({"id": "q", "vector": ["a", "b"] * 8}) + "\n")
+        proc = run_module(
+            "evaluate", str(queries), "--reference", str(ref),
+            "--target", str(target), "--attribute", "gender",
+        )
+        assert proc.returncode == 5
+        assert "MetadataError" in proc.stderr
+        assert "Traceback" not in proc.stderr

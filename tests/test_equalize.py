@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from bend.equalize import (
-    solve_binary,
-    solve_general,
-    solve_numeric_oracle,
+from bend.equalize import GAP_EPS, solve_binary, solve_general
+from bend.errors import (
+    ConfigError,
+    DegenerateMeans,
+    QueryInsideConstraintSpan,
+    ZeroResult,
 )
-from bend.errors import ConfigError, DegenerateMeans, QueryInsideConstraintSpan
 from bend.vectors import cosine_distance, normalize
+
+from numeric_oracle import solve_numeric_oracle
 
 
 def random_triple(rng, dim):
@@ -56,6 +61,12 @@ class TestSolveBinary:
         with pytest.raises(DegenerateMeans):
             solve_binary(z, mu1, mu2)
 
+    def test_query_parallel_to_mean_difference(self):
+        # z' lies along mu2 - mu1, so removing that direction leaves nothing.
+        z = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ZeroResult):
+            solve_binary(z, np.zeros(3), np.array([2.0, 0.0, 0.0]))
+
     @pytest.mark.parametrize("dim", [8, 512])
     def test_feasibility_on_random_draws(self, dim):
         rng = np.random.default_rng(7 + dim)
@@ -65,6 +76,32 @@ class TestSolveBinary:
             assert abs(np.linalg.norm(solution.z_star) - 1.0) < 1e-9
             gap = float(mu1 @ solution.z_star) - float(mu2 @ solution.z_star)
             assert abs(gap) <= 1e-8
+
+
+def closed_form_binary(z, mu1, mu2):
+    """The stand-alone binary solution the null-space readout replaced."""
+    gap = float(mu1 @ z) - float(mu2 @ z)
+    lam = gap / (2.0 * float(mu1 @ mu2) - float(mu2 @ mu2) - float(mu1 @ mu1))
+    return lam, normalize(z - lam * mu2 + lam * mu1)
+
+
+mean_coords = st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5).map(np.array)
+
+
+class TestSolveBinaryDifferential:
+    @given(mean_coords.filter(lambda v: np.linalg.norm(v) > 1e-3), mean_coords, mean_coords)
+    def test_matches_closed_form(self, raw_z, mu1, mu2):
+        z = normalize(raw_z)
+        d = mu2 - mu1
+        # Keep lambda and the pre-normalization norm away from degenerate
+        # inputs, where both forms lose digits to cancellation.
+        assume(np.linalg.norm(d) >= 0.25)
+        assume(abs(float(d @ z)) > GAP_EPS)
+        assume(np.linalg.norm(z - (d @ z) / (d @ d) * d) >= 0.1)
+        lam, z_star = closed_form_binary(z, mu1, mu2)
+        solution = solve_binary(z, mu1, mu2)
+        assert abs(solution.lam - lam) <= 1e-12
+        assert np.max(np.abs(solution.z_star - z_star)) <= 1e-12
 
 
 class TestSolveGeneral:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from bend.metrics import (
     max_skew,
     worst_group_auc,
 )
+from bend.vectors import cosine_distance, normalize
 
 PAIR = attribute_space("group", ("a", "b"))
 
@@ -41,26 +43,64 @@ def brute_force_auc(pairs):
 class TestCcfDistance:
     def test_symmetric_orthogonality(self):
         z = np.array([0.0, 0.0, 1.0])
-        groups = {"a": [[1.0, 0.0, 0.0]], "b": [[0.0, 1.0, 0.0]]}
-        assert group_distance_gap(z, groups) == pytest.approx(0.0, abs=1e-12)
+        means = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}
+        assert group_distance_gap(z, means) == pytest.approx(0.0, abs=1e-12)
 
     def test_aligned_versus_orthogonal(self):
         z = np.array([1.0, 0.0, 0.0])
-        groups = {"a": [[1.0, 0.0, 0.0]], "b": [[0.0, 1.0, 0.0]]}
-        assert group_distance_gap(z, groups) == pytest.approx(1.0, abs=1e-12)
+        means = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}
+        assert group_distance_gap(z, means) == pytest.approx(1.0, abs=1e-12)
 
     def test_three_groups_takes_worst_pair(self):
         z = np.array([1.0, 0.0, 0.0])
-        groups = {
-            "a": [[1.0, 0.0, 0.0]],   # distance 0
-            "b": [[0.0, 1.0, 0.0]],   # distance 1
-            "c": [[-1.0, 0.0, 0.0]],  # distance 2
+        means = {
+            "a": [1.0, 0.0, 0.0],   # distance 0
+            "b": [0.0, 1.0, 0.0],   # distance 1
+            "c": [-1.0, 0.0, 0.0],  # distance 2
         }
-        assert group_distance_gap(z, groups) == pytest.approx(2.0, abs=1e-12)
+        assert group_distance_gap(z, means) == pytest.approx(2.0, abs=1e-12)
 
     def test_empty_group_rejected(self):
         with pytest.raises(EmptyGroup):
-            group_distance_gap(np.array([1.0, 0.0]), {"a": [[1.0, 0.0]], "b": []})
+            group_distance_gap(np.array([1.0, 0.0]), {"a": [1.0, 0.0], "b": []})
+
+
+GAP_DIM = 4
+# Small integer coordinates make repeated rows and tied similarities common.
+quantized_row = st.lists(st.integers(-2, 2), min_size=GAP_DIM, max_size=GAP_DIM)
+real_row = st.lists(st.floats(-1.0, 1.0), min_size=GAP_DIM, max_size=GAP_DIM)
+
+
+def unit_rows(raw_rows):
+    rows = np.array(raw_rows, dtype=np.float64)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def per_row_distance_gap(z, groups):
+    """The definition the mean-based gap replaced: per-group averages of
+    per-row cosine distances, worst pairwise difference."""
+    mean_dists = [np.mean([cosine_distance(z, row) for row in rows]) for rows in groups]
+    return max(abs(a - b) for a, b in itertools.combinations(mean_dists, 2))
+
+
+@st.composite
+def gap_case(draw, row, count):
+    nonzero = row.filter(lambda r: np.linalg.norm(r) > 1e-3)
+    groups = [
+        unit_rows(draw(st.lists(nonzero, min_size=1, max_size=6))) for _ in range(count)
+    ]
+    return normalize(draw(nonzero)), groups
+
+
+class TestDistanceGapDifferential:
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("row", [quantized_row, real_row], ids=["quantized", "real"])
+    @given(data=st.data())
+    def test_matches_per_row_definition(self, count, row, data):
+        z, groups = data.draw(gap_case(row, count))
+        means = {f"g{i}": rows.mean(axis=0) for i, rows in enumerate(groups)}
+        expected = per_row_distance_gap(z, groups)
+        assert abs(group_distance_gap(z, means) - expected) <= 1e-12
 
 
 class TestKlDivergence:

@@ -44,7 +44,7 @@ def small_setup(eps=0.3, seed=42, split_seed=13):
         cells=tuple(cells), queries=tuple(queries),
     )
     table = synth_generate(spec)
-    reference, target, _ = split_reference_target(table, SplitSpec(0.5, 5, split_seed))
+    reference, target = split_reference_target(table, SplitSpec(0.5, 5, split_seed))
     rows = [parse_query_row(r) for r in synth_query_rows(spec)]
     cfg = RunConfig(attribute="gender", n=20, k=80, seed=split_seed, fold_count=5)
     return reference, target, rows, cfg
@@ -84,6 +84,16 @@ class TestQueryLoading:
     def test_unknown_schema_rejected(self):
         with pytest.raises(MetadataError):
             parse_query_row({"id": "a", "text": "x", "schema": "bend/999"})
+
+    @pytest.mark.parametrize("field", ["vector", "augmented"])
+    def test_non_numeric_vector_rejected(self, field):
+        record = {"id": "q", "vector": [1.0, 0.0]}
+        if field == "vector":
+            record["vector"] = ["a", "b"]
+        else:
+            record["augmented"] = {"male": [1.0, "x"], "female": [0.0, 1.0]}
+        with pytest.raises(MetadataError):
+            parse_query_row(record)
 
     def test_bundled_vectors_parsed(self):
         row = parse_query_row(

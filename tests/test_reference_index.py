@@ -3,10 +3,9 @@ import pytest
 
 from bend.augment import GENDER, attribute_space
 from bend.dataset import LabeledEmbeddingTable, SynthCell, SynthSpec, synth_generate
-from bend.errors import ConfigError, EmptyGroup, TooFewPoints, UnknownLabel
+from bend.errors import ConfigError, EmptyGroup, UnknownLabel
 from bend.reference_index import (
     build_index,
-    elbow_n,
     retrieve_top_k,
     top_n_by_attribute,
 )
@@ -60,7 +59,7 @@ class TestBuildIndex:
 
     def test_group_means_are_means_of_normalized_rows(self, four_record_index):
         means = four_record_index.group_means("gender")
-        manual = four_record_index.matrix[:2].mean(axis=0)
+        manual = four_record_index.table.vectors[:2].mean(axis=0)
         assert np.allclose(means["male"], manual)
 
 
@@ -95,7 +94,7 @@ class TestTopNByAttribute:
         query = normalize([0.7, 0.3])
         subsets = top_n_by_attribute(four_record_index, query, GENDER, 2)
         for value, idx in subsets.indices.items():
-            manual = four_record_index.matrix[list(idx)].mean(axis=0)
+            manual = four_record_index.table.vectors[list(idx)].mean(axis=0)
             assert np.allclose(subsets.means[value], manual)
 
     def test_union_bounded_and_labels_match(self, rng):
@@ -182,28 +181,3 @@ class TestRetrieveTopK:
         with pytest.raises(ConfigError):
             retrieve_top_k(four_record_index.table, np.array([1.0, 0.0]), 0)
 
-
-class TestElbow:
-    def test_clear_knee(self):
-        assert elbow_n([1.0, 0.99, 0.98, 0.2, 0.19]) == 3
-
-    def test_linear_decay_returns_first_maximizer(self):
-        values = [1.0 - 0.1 * i for i in range(6)]
-        assert elbow_n(values) == 1
-
-    def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
-            elbow_n([1.0, 0.5])
-
-    def test_matches_brute_force_chord_distance(self, rng):
-        for _ in range(30):
-            values = np.sort(rng.uniform(0, 1, size=int(rng.integers(3, 30))))[::-1]
-            x0, y0 = 0.0, values[0]
-            x1, y1 = len(values) - 1.0, values[-1]
-            best, best_d = 0, -1.0
-            for i, y in enumerate(values):
-                num = abs((x1 - x0) * (y0 - y) - (x0 - i) * (y1 - y0))
-                d = num / np.hypot(x1 - x0, y1 - y0)
-                if d > best_d + 1e-15:
-                    best, best_d = i, d
-            assert elbow_n(values) == best + 1
