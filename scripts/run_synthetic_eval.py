@@ -72,7 +72,6 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=100)
     parser.add_argument("--k", type=int, default=500)
     parser.add_argument("--folds", type=int, default=5)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     spec = build_spec(args)
@@ -94,7 +93,6 @@ def main() -> int:
         k=args.k,
         seed=args.split_seed,
         fold_count=args.folds,
-        jobs=args.jobs,
     )
     started = time.perf_counter()
     report = evaluate(

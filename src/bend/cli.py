@@ -12,6 +12,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import pipeline
 from .client import EmbeddingEndpoint, embed_text
 from .dataset import (
@@ -25,9 +27,9 @@ from .dataset import (
     write_query_rows,
 )
 from .equalize import MODES
-from .errors import BendError, ConfigError, MissingEndpoint
+from .errors import BendError, ConfigError, MissingEndpoint, NonFiniteValue
 from .pipeline import QueryRow, RunConfig
-from .reference_index import build_index, retrieve_top_k
+from .reference_index import build_index
 from .reporting import dumps
 from .vectors import as_vector
 
@@ -37,11 +39,15 @@ EMBED_ENDPOINT_ENV = "BEND_EMBED_ENDPOINT"
 def _parse_vector(raw: str):
     try:
         if raw.lstrip().startswith("["):
-            return as_vector(json.loads(raw))
-        path = Path(raw[1:] if raw.startswith("@") else raw)
-        return as_vector(json.loads(path.read_text(encoding="utf-8")))
+            vector = as_vector(json.loads(raw))
+        else:
+            path = Path(raw[1:] if raw.startswith("@") else raw)
+            vector = as_vector(json.loads(path.read_text(encoding="utf-8")))
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot parse query vector: {exc}") from None
+    if not np.all(np.isfinite(vector)):
+        raise NonFiniteValue("query vector holds a non-finite value")
+    return vector
 
 
 def _parse_modes(raw: str) -> tuple[str, ...]:
@@ -124,7 +130,7 @@ def cmd_retrieve(args) -> int:
         query = embed_text([row.text], endpoint)[0]
     else:
         query = row.vector
-    retrieved = retrieve_top_k(target, query, args.k)
+    retrieved = pipeline.retrieve_top_k(target, query, args.k)
     metric_space = None
     prior = None
     if args.prior:
@@ -152,7 +158,6 @@ def cmd_evaluate(args) -> int:
         modes=_parse_modes(args.modes),
         seed=args.seed,
         fold_count=args.folds,
-        jobs=args.jobs,
         subset_by=args.subset_by,
         generic_columns=args.generic_columns,
         embed_endpoint=_embed_endpoint(args, reference.dim),
@@ -261,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--modes", default=",".join(MODES))
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--folds", type=int, default=5)
-    p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.add_argument("--subset-by", default="step1",
                         choices=pipeline.SUBSET_RANKINGS)
     p_eval.add_argument("--generic-columns", default="diff",

@@ -66,6 +66,10 @@ def embed_text(texts: Sequence[str], endpoint: EmbeddingEndpoint) -> list[Vector
             )
             response.raise_for_status()
             break
+        except requests.HTTPError as exc:
+            if exc.response.status_code < 500:  # a 4xx: resending cannot help
+                raise ProviderUnavailable(f"embedding request rejected: {exc}") from None
+            last_error = exc
         except requests.RequestException as exc:
             last_error = exc
     else:

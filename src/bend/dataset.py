@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -90,6 +91,13 @@ class LabeledEmbeddingTable:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each row's position in ascending id order: the integer tie-break key."""
+        rank = np.empty(self.count, dtype=np.int64)
+        rank[np.argsort(np.array(self.ids), kind="stable")] = np.arange(self.count)
+        return rank
+
     def subset(self, indices: Sequence[int]) -> "LabeledEmbeddingTable":
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledEmbeddingTable(
@@ -139,6 +147,10 @@ def _space_from_json(obj) -> AttributeSpace:
 
 def _normalized_rows(raw: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(raw, axis=1)
+    finite = np.isfinite(norms)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NonUnitRow(f"{what} record {bad} has a non-finite component")
     if np.any(norms <= ZERO_NORM_EPS):
         bad = int(np.argmax(norms <= ZERO_NORM_EPS))
         raise MetadataError(f"{what} record {bad} has a zero vector")

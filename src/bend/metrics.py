@@ -78,45 +78,39 @@ def max_skew(retrieved: Mapping[str, float], prior: Mapping[str, float]) -> floa
     return max(ratios)
 
 
-def _group_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+def _group_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     """ROC AUC via the Mann-Whitney rank statistic, ties credited 0.5."""
-    n_pos = int(labels.sum())
-    n_neg = int(labels.shape[0] - n_pos)
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = int(positive.shape[0] - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise DegenerateGroup("AUC needs at least one positive and one negative")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.shape[0], dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < sorted_scores.shape[0]:
-        j = i
-        while j + 1 < sorted_scores.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # midrank over the tie run, 1-based
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_sum = float(ranks[labels].sum())
-    u_stat = rank_sum - n_pos * (n_pos + 1) / 2.0
+    # 1-based midrank of every tie run [start, end), spread back to its members
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], sorted_scores.shape[0]]
+    ranks = np.empty(scores.shape[0], dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
+    u_stat = float(ranks[positive].sum()) - n_pos * (n_pos + 1) / 2.0
     return u_stat / (n_pos * n_neg)
 
 
-def worst_group_auc(scores_by_group: Mapping[str, Iterable[tuple[float, object]]]) -> float:
+def worst_group_auc(groups: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> float:
     """Minimum over groups of the similarity-score ROC AUC.
 
-    Each group supplies (score, label) pairs where a truthy label marks the
-    positive class. Raises ``DegenerateGroup`` if any group is single-class.
+    Each group supplies a (scores, positive) pair of equal-length arrays,
+    where ``positive`` is boolean. Raises ``DegenerateGroup`` if any group
+    is empty or single-class.
     """
-    if not scores_by_group:
+    if not groups:
         raise EmptyGroup("no groups supplied")
     worst = None
-    for value, pairs in scores_by_group.items():
-        pairs = list(pairs)
-        if not pairs:
+    for value, (scores, positive) in groups.items():
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.shape[0] == 0:
             raise DegenerateGroup(f"group {value!r} has no scores")
-        scores = np.array([float(s) for s, _ in pairs])
-        labels = np.array([bool(l) for _, l in pairs])
         try:
-            auc = _group_auc(scores, labels)
+            auc = _group_auc(scores, np.asarray(positive, dtype=bool))
         except DegenerateGroup as exc:
             raise DegenerateGroup(f"group {value!r}: {exc}") from None
         worst = auc if worst is None else min(worst, auc)

@@ -10,7 +10,6 @@ Fold values aggregate to mean, sample standard deviation, and standard error.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -43,8 +42,9 @@ from .reference_index import (
     ReferenceIndex,
     RelevantSubsets,
     build_index,
-    retrieve_top_k,
+    retrieve_top_k,  # the CLI's retrieve verb calls it through this module
     top_n_by_attribute,
+    top_rows,
 )
 from .reporting import SCHEMA, summary_stats
 from .subspace import GENERIC_COLUMN_MODES, build_attribute_matrix, orthogonalize
@@ -63,7 +63,6 @@ class RunConfig:
     modes: tuple[str, ...] = MODES
     seed: int = 0
     fold_count: int = 5
-    jobs: int = 1
     subset_by: str = "step1"
     generic_columns: str = "diff"
     embed_endpoint: EmbeddingEndpoint | None = None
@@ -82,8 +81,6 @@ class RunConfig:
                 raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
         if self.fold_count < 1:
             raise ConfigError("fold_count must be at least 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
         if self.subset_by not in SUBSET_RANKINGS:
             raise ConfigError(f"subset_by must be one of {SUBSET_RANKINGS}")
         if self.generic_columns not in GENERIC_COLUMN_MODES:
@@ -104,9 +101,12 @@ class QueryRow:
 
 def _numeric_vector(values, what: str) -> Vector:
     try:
-        return as_vector(values)
+        vector = as_vector(values)
     except (TypeError, ValueError):
         raise MetadataError(f"{what} holds a non-numeric vector") from None
+    if not np.all(np.isfinite(vector)):
+        raise MetadataError(f"{what} holds a non-finite vector")
+    return vector
 
 
 def _vector_map(obj, what: str) -> dict[str, Vector]:
@@ -346,23 +346,15 @@ def resolve_space(
 
 
 def _fold_auc(
-    target: LabeledEmbeddingTable,
-    fold_rows: Sequence[int],
-    space: AttributeSpace,
-    z: Vector,
-    query_class: str | None,
+    groups: dict[str, np.ndarray], scores: np.ndarray, positive: np.ndarray | None
 ) -> float | None:
-    if query_class is None:
+    """Worst-group AUC over one held-out fold; None when it is undefined."""
+    if positive is None:
         return None
-    scores = target.vectors[np.asarray(fold_rows, dtype=np.int64)] @ z
-    groups: dict[str, list[tuple[float, bool]]] = {v: [] for v in space.values}
-    labels = target.attributes[space.name]
-    for position, row in enumerate(fold_rows):
-        groups[labels[row]].append(
-            (float(scores[position]), target.classes[row] == query_class)
-        )
     try:
-        return worst_group_auc({v: g for v, g in groups.items() if g})
+        return worst_group_auc(
+            {v: (scores[rows], positive[rows]) for v, rows in groups.items() if rows.size}
+        )
     except (DegenerateGroup, EmptyGroup):
         return None
 
@@ -375,35 +367,38 @@ def _report_distance_gap(report: DebiasReport) -> dict:
 
 def _mode_entry(
     report: DebiasReport,
-    pools: Sequence[tuple[LabeledEmbeddingTable, list[int]]],
+    pools: Sequence[tuple[np.ndarray, dict[str, np.ndarray]]],
     target: LabeledEmbeddingTable,
     space: AttributeSpace,
     prior: dict[str, float],
     cfg: RunConfig,
-    query_class: str | None,
+    positive: np.ndarray | None,
 ) -> dict:
+    # One score column serves every fold's retrieval and AUC.
+    scores = target.vectors @ normalize(report.final)
+    target_labels = target.attributes[space.name]
     folds_out = []
     kls, skews, aucs = [], [], []
-    for fold_idx, (pool, fold_rows) in enumerate(pools):
-        retrieved = retrieve_top_k(pool, report.final, cfg.k)
-        labels = [r.labels[space.name] for r in retrieved]
+    for fold_idx, (pool, fold_groups) in enumerate(pools):
+        top = top_rows(target, scores, pool, cfg.k)
+        labels = [target_labels[row] for row in top.tolist()]
         distribution = empirical_distribution(labels, space)
         kl = kl_divergence(distribution, prior)
         skew = max_skew(distribution, prior)
-        auc = _fold_auc(target, fold_rows, space, report.final, query_class)
+        auc = _fold_auc(fold_groups, scores, positive)
         counts = {v: 0 for v in space.values}
         for label in labels:
             counts[label] += 1
         entry = {
             "fold": fold_idx,
-            "pool_size": pool.count,
-            "retrieved": len(retrieved),
+            "pool_size": pool.size,
+            "retrieved": len(labels),
             "retrieved_counts": counts,
             "kl": kl,
             "max_skew": skew,
             "worst_group_auc": auc,
         }
-        if cfg.k > pool.count:
+        if cfg.k > pool.size:
             entry["warning"] = "k exceeds pool size; retrieved the whole pool"
         folds_out.append(entry)
         kls.append(kl)
@@ -443,11 +438,13 @@ def evaluate(
     space = resolve_space(reference, cfg.attribute, target)
     index = build_index(reference)
     folds = make_folds(target.count, cfg.fold_count, cfg.seed)
+    # Each fold as sorted row indices: the retrieval pool that withholds it,
+    # and its own rows per attribute value, scored for AUC.
+    target_labels = np.array(target.attributes[space.name])
     pools = []
-    for fold in folds:
-        mask = np.ones(target.count, dtype=bool)
-        mask[fold] = False
-        pools.append((target.subset(np.flatnonzero(mask)), fold))
+    for fold in map(np.sort, folds):
+        pool = np.setdiff1d(np.arange(target.count), fold, assume_unique=True)
+        pools.append((pool, {v: fold[target_labels[fold] == v] for v in space.values}))
     if cfg.prior is not None:
         prior = validate_prior(cfg.prior, space)
     else:
@@ -457,6 +454,9 @@ def evaluate(
         try:
             resolved = resolve_query(row, space, index, cfg)
             reports, subsets = run_query_reports(resolved, index, space, cfg)
+            positive = None if row.class_label is None else np.array(
+                [c == row.class_label for c in target.classes], dtype=bool
+            )
             entry = {
                 "id": row.id,
                 "class": row.class_label,
@@ -465,8 +465,7 @@ def evaluate(
                 "n_used": subsets.n_used if subsets is not None else None,
                 "modes": {
                     mode: _mode_entry(
-                        reports[mode], pools, target, space, prior, cfg,
-                        row.class_label,
+                        reports[mode], pools, target, space, prior, cfg, positive
                     )
                     for mode in cfg.modes
                 },
@@ -475,11 +474,7 @@ def evaluate(
         except BendError as exc:
             return {"id": row.id, "error": f"{type(exc).__name__}: {exc}"}
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as executor:
-            entries = list(executor.map(work, queries))
-    else:
-        entries = [work(row) for row in queries]
+    entries = [work(row) for row in queries]
 
     aggregates = {}
     for mode in cfg.modes:
@@ -509,7 +504,6 @@ def evaluate(
         "modes": list(cfg.modes),
         "seed": cfg.seed,
         "fold_count": cfg.fold_count,
-        "jobs": cfg.jobs,
         "subset_by": cfg.subset_by,
         "generic_columns": cfg.generic_columns,
         "log_base": "e",

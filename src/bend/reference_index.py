@@ -13,7 +13,7 @@ import numpy as np
 
 from .augment import AttributeSpace
 from .dataset import LabeledEmbeddingTable
-from .errors import ConfigError, EmptyGroup, EmptyTable, UnknownLabel
+from .errors import ConfigError, EmptyGroup, UnknownLabel
 from .vectors import Vector, normalize
 
 
@@ -35,7 +35,6 @@ class Retrieved:
     similarity: float
     labels: dict[str, str]
     class_label: str | None
-    row: int
 
 
 class ReferenceIndex:
@@ -69,9 +68,11 @@ def build_index(table: LabeledEmbeddingTable) -> ReferenceIndex:
     return ReferenceIndex(table)
 
 
-def _ranked(ids: np.ndarray, similarities: np.ndarray) -> np.ndarray:
-    """Positions sorted by descending similarity, ascending id on ties."""
-    return np.lexsort((ids, -similarities))
+def top_rows(
+    table: LabeledEmbeddingTable, scores: np.ndarray, rows: np.ndarray, limit: int
+) -> np.ndarray:
+    """The ``limit`` best of ``rows`` by ``scores``: descending score, then ascending id."""
+    return rows[np.lexsort((table.id_rank[rows], -scores[rows]))[:limit]]
 
 
 def top_n_by_attribute(
@@ -84,20 +85,17 @@ def top_n_by_attribute(
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
-    q = normalize(query)
     partition = index.partition(space.name)
     rows = index.table.vectors
-    ids = np.array(index.table.ids)
+    scores = rows @ normalize(query)
     indices: dict[str, tuple[int, ...]] = {}
     means: dict[str, Vector] = {}
     for value in space.values:
         members = partition.get(value)
         if members is None or members.size == 0:
             raise EmptyGroup(f"attribute value {value!r} has no reference records")
-        similarities = rows[members] @ q
-        order = _ranked(ids[members], similarities)
-        chosen = members[order[: min(n, members.size)]]
-        indices[value] = tuple(int(i) for i in chosen)
+        chosen = top_rows(index.table, scores, members, n)
+        indices[value] = tuple(chosen.tolist())
         means[value] = rows[chosen].mean(axis=0)
     return RelevantSubsets(indices=indices, means=means)
 
@@ -106,21 +104,13 @@ def retrieve_top_k(table: LabeledEmbeddingTable, query, k: int) -> list[Retrieve
     """The k most similar records (all of them when k exceeds the table)."""
     if k < 1:
         raise ConfigError("k must be at least 1")
-    if table.count == 0:
-        raise EmptyTable("cannot retrieve from an empty table")
-    q = normalize(query)
-    similarities = table.vectors @ q
-    order = _ranked(np.array(table.ids), similarities)[: min(k, table.count)]
-    results = []
-    for row in order:
-        row = int(row)
-        results.append(
-            Retrieved(
-                id=table.ids[row],
-                similarity=float(similarities[row]),
-                labels={name: table.attributes[name][row] for name in table.spaces},
-                class_label=table.classes[row],
-                row=row,
-            )
+    similarities = table.vectors @ normalize(query)
+    return [
+        Retrieved(
+            id=table.ids[row],
+            similarity=float(similarities[row]),
+            labels={name: table.attributes[name][row] for name in table.spaces},
+            class_label=table.classes[row],
         )
-    return results
+        for row in top_rows(table, similarities, np.arange(table.count), k).tolist()
+    ]

@@ -151,7 +151,7 @@ def test_criterion_5_metric_unit_values(rng):
             if labels.sum() in (0, size):
                 labels[0] = 1 - labels[0]
             pairs = list(zip(scores.tolist(), labels.tolist()))
-            assert worst_group_auc({"g": pairs}) == brute_force_auc(pairs)
+            assert worst_group_auc({"g": (scores, labels == 1)}) == brute_force_auc(pairs)
 
 
 def test_criterion_6_end_to_end_bias_reduction(experiment):

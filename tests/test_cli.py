@@ -309,6 +309,24 @@ class TestBoundaryErrors:
         assert "MetadataError" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["retrieve", "evaluate"])
+    def test_non_finite_query_vector_exits_5(self, ref_target, tmp_path, command):
+        ref, target = ref_target
+        vector = json.dumps([float("inf")] + [0.0] * 15)
+        if command == "retrieve":
+            args = ["retrieve", "--vector", vector, "--target", str(target)]
+            expected = "NonFiniteValue: query vector"
+        else:
+            queries = tmp_path / "q.jsonl"
+            queries.write_text(json.dumps({"id": "q", "vector": [float("nan")] * 16}) + "\n")
+            args = ["evaluate", str(queries), "--reference", str(ref),
+                    "--target", str(target), "--attribute", "gender"]
+            expected = "MetadataError"
+        proc = run_module(*args)
+        assert proc.returncode == 5
+        assert expected in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_non_numeric_query_vector_exits_5(self, ref_target, tmp_path):
         ref, target = ref_target
         queries = tmp_path / "q.jsonl"

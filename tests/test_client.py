@@ -35,6 +35,10 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             self.send_response(503)
             self.end_headers()
             return
+        elif self.behavior == "bad-request":
+            self.send_response(400)
+            self.end_headers()
+            return
         else:
             # index-tagged vectors so ordering is verifiable
             rows = []
@@ -94,6 +98,13 @@ class TestEmbedText:
         out = embed_text(["x"], embed_server)
         assert len(out) == 1
         assert _EmbedHandler.calls == 2
+
+    def test_client_error_not_retried(self, embed_server):
+        _EmbedHandler.behavior = "bad-request"
+        with pytest.raises(ProviderUnavailable) as excinfo:
+            embed_text(["x"], embed_server)
+        assert excinfo.value.exit_code == 4
+        assert _EmbedHandler.calls == 1
 
     def test_unreachable(self):
         endpoint = EmbeddingEndpoint(

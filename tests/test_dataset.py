@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,18 @@ class TestRoundTrip:
         vec_path.write_bytes(raw.tobytes())
         with pytest.raises(NonUnitRow):
             read_dataset(tmp_path / "ds" / MANIFEST_NAME)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_vector_rejected_without_warning(self, rng, tmp_path, bad):
+        write_dataset(small_table(rng), tmp_path / "ds")
+        vec_path = tmp_path / "ds" / "vectors.f32"
+        raw = np.frombuffer(vec_path.read_bytes(), dtype="<f4").copy()
+        raw[5] = bad
+        vec_path.write_bytes(raw.tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonUnitRow, match="non-finite"):
+                read_dataset(tmp_path / "ds" / MANIFEST_NAME)
 
     def test_write_returns_manifest_path(self, rng, tmp_path):
         assert write_dataset(small_table(rng), tmp_path / "ds") == tmp_path / "ds" / MANIFEST_NAME

@@ -40,6 +40,11 @@ def brute_force_auc(pairs):
     return total / (len(positives) * len(negatives))
 
 
+def auc_inputs(pairs):
+    """(score, label) pairs as the (scores, positive) arrays of one group."""
+    return np.array([s for s, _ in pairs]), np.array([bool(l) for _, l in pairs])
+
+
 class TestCcfDistance:
     def test_symmetric_orthogonality(self):
         z = np.array([0.0, 0.0, 1.0])
@@ -169,21 +174,23 @@ class TestMaxSkew:
 class TestWorstGroupAuc:
     def test_perfect_separation(self):
         pairs = [(0.9, 1), (0.8, 1), (0.7, 0), (0.1, 0)]
-        assert worst_group_auc({"g": pairs}) == pytest.approx(1.0)
+        assert worst_group_auc({"g": auc_inputs(pairs)}) == pytest.approx(1.0)
 
     def test_full_tie(self):
-        assert worst_group_auc({"g": [(0.5, 1), (0.5, 0)]}) == pytest.approx(0.5)
+        pairs = [(0.5, 1), (0.5, 0)]
+        assert worst_group_auc({"g": auc_inputs(pairs)}) == pytest.approx(0.5)
 
     def test_minimum_across_groups(self):
         groups = {
             "high": [(0.9, 1), (0.8, 1), (0.7, 0), (0.1, 0)],   # AUC 1.0
             "low": [(0.8, 1), (0.8, 0), (0.1, 0)],              # AUC (0.5 + 1)/2
         }
+        groups = {value: auc_inputs(pairs) for value, pairs in groups.items()}
         assert worst_group_auc(groups) == pytest.approx(0.75)
 
     def test_single_class_group_rejected(self):
         with pytest.raises(DegenerateGroup):
-            worst_group_auc({"g": [(0.9, 1), (0.8, 1)]})
+            worst_group_auc({"g": auc_inputs([(0.9, 1), (0.8, 1)])})
 
     def test_matches_brute_force_exactly(self, rng):
         for _ in range(60):
@@ -193,7 +200,7 @@ class TestWorstGroupAuc:
             if labels.sum() in (0, size):
                 labels[0] = 1 - labels[0]
             pairs = list(zip(scores.tolist(), labels.tolist()))
-            assert worst_group_auc({"g": pairs}) == brute_force_auc(pairs)
+            assert worst_group_auc({"g": auc_inputs(pairs)}) == brute_force_auc(pairs)
 
     def test_continuous_scores_match_brute_force(self, rng):
         for _ in range(30):
@@ -203,7 +210,7 @@ class TestWorstGroupAuc:
             if labels.sum() in (0, size):
                 labels[0] = 1 - labels[0]
             pairs = list(zip(scores.tolist(), labels.tolist()))
-            assert worst_group_auc({"g": pairs}) == brute_force_auc(pairs)
+            assert worst_group_auc({"g": auc_inputs(pairs)}) == brute_force_auc(pairs)
 
 
 class TestEmpiricalDistribution:

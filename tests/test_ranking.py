@@ -1,0 +1,165 @@
+"""Differential tests: every ranking in the package against plain Python.
+
+Rows are drawn from a handful of distinct integer-grid directions, so many
+rows coincide and score ties are the rule, not the exception. The reference
+ranks with ``sorted`` by (descending score, ascending id) and scores AUC by
+counting pairs, which is the documented contract of all three rankings.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bend.augment import GENDER
+from bend.dataset import LabeledEmbeddingTable, make_folds
+from bend.errors import EmptyGroup
+from bend.pipeline import (
+    RunConfig,
+    evaluate,
+    parse_query_row,
+    resolve_query,
+    run_query_reports,
+)
+from bend.reference_index import (
+    build_index,
+    retrieve_top_k,
+    top_n_by_attribute,
+    top_rows,
+)
+from bend.vectors import normalize
+from test_metrics import brute_force_auc
+
+DIM = 4
+CLASSES = ("c0", "c1")
+
+grid_vectors = st.lists(st.integers(-2, 2), min_size=DIM, max_size=DIM).map(
+    lambda v: v if any(v) else [1] + v[1:]
+)
+
+
+@st.composite
+def tables(draw, min_count=2, max_count=40, min_directions=1):
+    directions = draw(st.lists(grid_vectors, min_size=min_directions, max_size=6))
+    count = draw(st.integers(min_count, max_count))
+    picks = draw(st.lists(st.sampled_from(directions), min_size=count, max_size=count))
+    rows = np.array(picks, dtype=np.float64)
+    # Unpadded ids, shuffled: id order is neither row order nor numeric order.
+    ids = draw(st.permutations([f"r{i}" for i in range(count)]))
+    labels = draw(
+        st.lists(st.sampled_from(GENDER.values), min_size=count, max_size=count)
+    )
+    classes = draw(st.lists(st.sampled_from(CLASSES), min_size=count, max_size=count))
+    return LabeledEmbeddingTable(
+        vectors=rows / np.linalg.norm(rows, axis=1, keepdims=True),
+        ids=tuple(ids),
+        attributes={"gender": tuple(labels)},
+        classes=tuple(classes),
+        spaces={"gender": GENDER},
+    )
+
+
+def reference_top(table, scores, rows, limit):
+    return sorted(rows, key=lambda i: (-scores[i], table.ids[i]))[:limit]
+
+
+def reference_worst_auc(table, scores, fold, query_class):
+    labels = table.attributes["gender"]
+    worst = None
+    for value in GENDER.values:
+        pairs = [
+            (scores[i], table.classes[i] == query_class)
+            for i in fold
+            if labels[i] == value
+        ]
+        if not pairs:
+            continue
+        if all(p for _, p in pairs) or not any(p for _, p in pairs):
+            return None
+        auc = brute_force_auc(pairs)
+        worst = auc if worst is None else min(worst, auc)
+    return worst
+
+
+@given(tables(), grid_vectors, st.data())
+def test_top_rows_matches_sorted(table, query, data):
+    scores = table.vectors @ normalize(query)
+    rows = data.draw(
+        st.lists(st.integers(0, table.count - 1), min_size=1, unique=True)
+    )
+    limit = data.draw(st.integers(1, table.count + 2))
+    got = top_rows(table, scores, np.array(rows), limit)
+    assert got.tolist() == reference_top(table, scores, rows, limit)
+
+
+@given(tables(), grid_vectors, st.integers(1, 45))
+def test_retrieve_top_k_matches_sorted(table, query, k):
+    scores = table.vectors @ normalize(query)
+    expected = reference_top(table, scores, range(table.count), k)
+    retrieved = retrieve_top_k(table, query, k)
+    assert [r.id for r in retrieved] == [table.ids[i] for i in expected]
+    assert [r.similarity for r in retrieved] == [float(scores[i]) for i in expected]
+
+
+@given(tables(), grid_vectors, st.integers(1, 45))
+def test_top_n_by_attribute_matches_sorted(table, query, n):
+    index = build_index(table)
+    scores = table.vectors @ normalize(query)
+    labels = table.attributes["gender"]
+    members = {
+        v: [i for i in range(table.count) if labels[i] == v] for v in GENDER.values
+    }
+    if not all(members.values()):
+        try:
+            top_n_by_attribute(index, query, GENDER, n)
+        except EmptyGroup:
+            return
+        raise AssertionError("a value without records must raise EmptyGroup")
+    subsets = top_n_by_attribute(index, query, GENDER, n)
+    for value in GENDER.values:
+        expected = reference_top(table, scores, members[value], n)
+        assert list(subsets.indices[value]) == expected
+        expected_mean = table.vectors[expected].mean(axis=0)
+        assert np.array_equal(subsets.means[value], expected_mean)
+
+
+@settings(max_examples=40)
+@given(
+    tables(min_count=8, min_directions=3),
+    tables(min_count=8, min_directions=3),
+    st.lists(grid_vectors, min_size=1, max_size=3),
+    st.sampled_from(CLASSES + (None,)),
+    st.integers(2, 4),
+    st.integers(1, 45),
+    st.integers(1, 10),
+    st.integers(0, 3),
+)
+def test_evaluate_folds_match_sorted(
+    reference, target, query_vectors, query_class, fold_count, k, n, seed
+):
+    queries = [
+        parse_query_row({"id": f"q{i}", "vector": v, "class": query_class})
+        for i, v in enumerate(query_vectors)
+    ]
+    cfg = RunConfig(attribute="gender", n=n, k=k, seed=seed, fold_count=fold_count)
+    report = evaluate(queries, reference, target, cfg)
+    index = build_index(reference)
+    folds = make_folds(target.count, fold_count, seed)
+    labels = target.attributes["gender"]
+    for row, entry in zip(queries, report["queries"]):
+        if "error" in entry:
+            continue
+        resolved = resolve_query(row, GENDER, index, cfg)
+        reports, _ = run_query_reports(resolved, index, GENDER, cfg)
+        for mode in cfg.modes:
+            scores = target.vectors @ normalize(reports[mode].final)
+            for fold, got in zip(folds, entry["modes"][mode]["folds"]):
+                pool = sorted(set(range(target.count)) - set(fold))
+                top = reference_top(target, scores, pool, k)
+                assert got["pool_size"] == len(pool)
+                assert got["retrieved"] == len(top)
+                assert got["retrieved_counts"] == {
+                    v: sum(labels[i] == v for i in top) for v in GENDER.values
+                }
+                assert got["worst_group_auc"] == reference_worst_auc(
+                    target, scores, fold, query_class
+                )
