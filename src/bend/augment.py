@@ -11,11 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import requests
-
+from .client import post_json
 from .errors import ConfigError, EmptyQuery, MalformedResponse, ProviderUnavailable
 
-DEFAULT_AUGMENT_TIMEOUT = 5.0
+AUGMENT_TIMEOUT_SECONDS = 5.0
 
 # Words that end a leading noun chunk; keeps insertion shallow but sane for
 # queries like "a photo of a nurse in a hospital".
@@ -46,8 +45,8 @@ class AttributeSpace:
     generic_prompts: dict[str, str]
 
     def __post_init__(self):
-        if not self.name:
-            raise ConfigError("attribute name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigError("attribute name must be a non-empty string")
         if len(self.values) < 2:
             raise ConfigError(f"attribute {self.name!r} needs at least two values")
         if len(set(self.values)) != len(self.values):
@@ -59,9 +58,10 @@ class AttributeSpace:
                     f"attribute {self.name!r}: every value needs exactly one {what}"
                 )
             for value, text in mapping.items():
-                if not text or not text.strip():
+                if not isinstance(text, str) or not text.strip():
                     raise ConfigError(
-                        f"attribute {self.name!r}: empty {what} for {value!r}"
+                        f"attribute {self.name!r}: {what} for {value!r} must be "
+                        "non-empty text"
                     )
 
 
@@ -71,6 +71,12 @@ def attribute_space(name, values, insertion_terms=None, generic_prompts=None) ->
     Insertion terms default to the value labels themselves; generic prompts
     default to "A photo of a {value} person".
     """
+    if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
+        raise ConfigError(f"attribute {name!r}: values must be a list of strings")
+    for mapping, what in ((insertion_terms, "insertion_terms"),
+                          (generic_prompts, "generic_prompts")):
+        if mapping is not None and not isinstance(mapping, dict):
+            raise ConfigError(f"attribute {name!r}: {what} must map values to text")
     values = tuple(values)
     terms = dict(insertion_terms) if insertion_terms else {v: v for v in values}
     prompts = (
@@ -91,13 +97,8 @@ GENDER = attribute_space(
 
 @dataclass(frozen=True)
 class AugmentedQuerySet:
-    base_text: str
     per_value_texts: dict[str, str]
     source: str = "template"  # template | external | template-fallback
-
-    @property
-    def used_fallback(self) -> bool:
-        return self.source == "template-fallback"
 
 
 def _insert_term(text: str, term: str) -> str:
@@ -122,7 +123,7 @@ def augment_query(text: str, space: AttributeSpace) -> AugmentedQuerySet:
     if not text or not text.strip():
         raise EmptyQuery("cannot augment an empty query")
     per_value = {v: _insert_term(text, space.insertion_terms[v]) for v in space.values}
-    return AugmentedQuerySet(base_text=text, per_value_texts=per_value)
+    return AugmentedQuerySet(per_value)
 
 
 def generic_prompts(space: AttributeSpace) -> dict[str, str]:
@@ -161,57 +162,22 @@ def mentions_attribute(text: str, space: AttributeSpace) -> bool:
     return False
 
 
-def external_augmenter(
-    text: str,
-    space: AttributeSpace,
-    endpoint: str,
-    timeout: float = DEFAULT_AUGMENT_TIMEOUT,
-    fallback: bool = True,
-) -> AugmentedQuerySet:
+def external_augmenter(text: str, space: AttributeSpace, endpoint: str) -> AugmentedQuerySet:
     """Fetch rewrites from an HTTP provider; fall back to templates on failure.
 
     Wire contract: POST ``{"text", "attribute", "values"}`` and expect
-    ``{"augmented": {value: text, ...}}`` covering every value.
+    ``{"augmented": {value: text, ...}}`` covering every value with non-empty
+    text. Anything else, or no answer within 5 s, means templates.
     """
     if not text or not text.strip():
         raise EmptyQuery("cannot augment an empty query")
     payload = {"text": text, "attribute": space.name, "values": list(space.values)}
-    failure: Exception | None = None
-    augmented: dict[str, str] | None = None
     try:
-        response = requests.post(endpoint, json=payload, timeout=timeout)
-        response.raise_for_status()
-    except requests.RequestException as exc:
-        failure = ProviderUnavailable(f"augmenter request failed: {exc}")
-    else:
-        try:
-            augmented = _parse_augment_response(response, space)
-        except MalformedResponse as exc:
-            failure = exc
-    if failure is not None:
-        if fallback:
-            templated = augment_query(text, space)
-            return AugmentedQuerySet(
-                base_text=text,
-                per_value_texts=templated.per_value_texts,
-                source="template-fallback",
-            )
-        raise failure
-    return AugmentedQuerySet(base_text=text, per_value_texts=augmented, source="external")
-
-
-def _parse_augment_response(response, space: AttributeSpace) -> dict[str, str]:
-    try:
-        body = response.json()
-    except ValueError:
-        raise MalformedResponse("augmenter returned a non-JSON body") from None
-    augmented = body.get("augmented") if isinstance(body, dict) else None
-    if not isinstance(augmented, dict):
-        raise MalformedResponse("augmenter response is missing the 'augmented' object")
-    out = {}
-    for value in space.values:
-        rewritten = augmented.get(value)
-        if not isinstance(rewritten, str) or not rewritten.strip():
-            raise MalformedResponse(f"augmenter response missing value {value!r}")
-        out[value] = rewritten
-    return out
+        augmented = post_json(endpoint, payload, AUGMENT_TIMEOUT_SECONDS).get("augmented")
+    except (ProviderUnavailable, MalformedResponse):
+        augmented = None
+    if isinstance(augmented, dict) and all(
+        isinstance(augmented.get(v), str) and augmented[v].strip() for v in space.values
+    ):
+        return AugmentedQuerySet({v: augmented[v] for v in space.values}, "external")
+    return AugmentedQuerySet(augment_query(text, space).per_value_texts, "template-fallback")

@@ -43,7 +43,7 @@ def _parse_vector(raw: str):
         else:
             path = Path(raw[1:] if raw.startswith("@") else raw)
             vector = as_vector(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cannot parse query vector: {exc}") from None
     if not np.all(np.isfinite(vector)):
         raise NonFiniteValue("query vector holds a non-finite value")

@@ -1,8 +1,10 @@
-"""HTTP client for an external text-embedding service.
+"""The package's one HTTP boundary: JSON POSTs to the embedding service and
+the external augmenter.
 
-One retry with a short backoff, then fail fast: online queries prefer a
-quick error over a stalled pipeline. Responses are validated for dimension
-and finiteness, and returned vectors are unit-normalized.
+``post_json`` holds the wire policy both share: retry transient failures a
+bounded number of times, then fail fast, since online queries prefer a quick
+error over a stalled pipeline. Embedding responses are validated for shape,
+type, dimension and finiteness, and returned vectors are unit-normalized.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     NonFiniteValue,
     ProviderUnavailable,
 )
-from .vectors import Vector, normalize
+from .vectors import ZERO_NORM_EPS, Vector
 
 RETRY_BACKOFF_SECONDS = 0.25
 
@@ -44,6 +46,45 @@ class EmbeddingEndpoint:
         return {}
 
 
+def post_json(
+    url: str,
+    payload: dict,
+    timeout: float,
+    headers: dict[str, str] | None = None,
+    attempts: int = 1,
+) -> dict:
+    """POST ``payload`` as JSON and return the JSON object the service sent back.
+
+    Connection errors, timeouts and 5xx responses are retried, up to
+    ``attempts`` tries in all, after ``RETRY_BACKOFF_SECONDS``; a 4xx fails at
+    once, since resending cannot help. Both end in ``ProviderUnavailable``.
+    A body that is not a JSON object raises ``MalformedResponse``.
+    """
+    last_error: Exception | None = None
+    for attempt in range(attempts):
+        if attempt:
+            time.sleep(RETRY_BACKOFF_SECONDS)
+        try:
+            response = requests.post(url, json=payload, timeout=timeout, headers=headers)
+            response.raise_for_status()
+            break
+        except requests.HTTPError as exc:
+            if exc.response.status_code < 500:
+                raise ProviderUnavailable(f"request rejected: {exc}") from None
+            last_error = exc
+        except requests.RequestException as exc:
+            last_error = exc
+    else:
+        raise ProviderUnavailable(f"service unreachable: {last_error}")
+    try:
+        body = response.json()
+    except ValueError:
+        raise MalformedResponse(f"{url} returned a non-JSON body") from None
+    if not isinstance(body, dict):
+        raise MalformedResponse(f"{url} returned JSON that is not an object")
+    return body
+
+
 def embed_text(texts: Sequence[str], endpoint: EmbeddingEndpoint) -> list[Vector]:
     """Embed a batch of texts; embeddings[i] corresponds to texts[i].
 
@@ -53,33 +94,10 @@ def embed_text(texts: Sequence[str], endpoint: EmbeddingEndpoint) -> list[Vector
     texts = list(texts)
     if not texts:
         raise EmptyQuery("no texts to embed")
-    last_error: Exception | None = None
-    for attempt in range(2):
-        if attempt:
-            time.sleep(RETRY_BACKOFF_SECONDS)
-        try:
-            response = requests.post(
-                endpoint.url,
-                json={"texts": texts},
-                timeout=endpoint.timeout,
-                headers=endpoint.headers(),
-            )
-            response.raise_for_status()
-            break
-        except requests.HTTPError as exc:
-            if exc.response.status_code < 500:  # a 4xx: resending cannot help
-                raise ProviderUnavailable(f"embedding request rejected: {exc}") from None
-            last_error = exc
-        except requests.RequestException as exc:
-            last_error = exc
-    else:
-        raise ProviderUnavailable(f"embedding service unreachable: {last_error}")
-
-    try:
-        body = response.json()
-    except ValueError:
-        raise MalformedResponse("embedding service returned a non-JSON body") from None
-    rows = body.get("embeddings") if isinstance(body, dict) else None
+    body = post_json(
+        endpoint.url, {"texts": texts}, endpoint.timeout, endpoint.headers(), attempts=2
+    )
+    rows = body.get("embeddings")
     if not isinstance(rows, list) or len(rows) != len(texts):
         raise MalformedResponse(
             f"expected {len(texts)} embeddings, got "
@@ -87,7 +105,10 @@ def embed_text(texts: Sequence[str], endpoint: EmbeddingEndpoint) -> list[Vector
         )
     out = []
     for i, row in enumerate(rows):
-        arr = np.asarray(row, dtype=np.float64)
+        try:
+            arr = np.asarray(row, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise MalformedResponse(f"embedding {i} is not a list of numbers") from None
         if arr.ndim != 1 or arr.shape[0] != endpoint.expected_dim:
             raise DimensionMismatch(
                 f"embedding {i} has dimension {arr.shape}, expected "
@@ -95,5 +116,9 @@ def embed_text(texts: Sequence[str], endpoint: EmbeddingEndpoint) -> list[Vector
             )
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValue(f"embedding {i} contains non-finite values")
-        out.append(normalize(arr))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(arr))
+        if not ZERO_NORM_EPS < norm < np.inf:
+            raise MalformedResponse(f"embedding {i} has a zero or overflowing norm")
+        out.append(arr / norm)
     return out

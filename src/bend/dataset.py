@@ -175,8 +175,10 @@ def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
         vectors_file = manifest["vectors_file"]
         meta_file = manifest["meta_file"]
         attr_decls = manifest["attributes"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ManifestError(f"manifest missing or malformed field: {exc}") from None
+    if not isinstance(attr_decls, list):
+        raise ManifestError("manifest 'attributes' must be a list of declarations")
     if dtype != DTYPE:
         raise ManifestError(f"unsupported dtype {dtype!r}; expected {DTYPE!r}")
     if dim < 2 or count < 1:
@@ -450,7 +452,7 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
             cells=cells,
             queries=queries,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SynthSpecError(f"malformed spec field: {exc}") from None
 
 

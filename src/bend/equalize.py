@@ -106,9 +106,6 @@ class DebiasReport:
     residuals: tuple[float, ...]
     dropped_columns: int
     distance_gap: dict[str, float | None]  # per-stage group distance gaps
-    skipped: bool = False
-    skip_reason: str | None = None
-    augmented_texts: dict[str, str] | None = None
 
 
 def _equalize(z: Vector, subsets) -> EqualizationSolution:

@@ -10,7 +10,7 @@ Fold values aggregate to mean, sample standard deviation, and standard error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -102,7 +102,7 @@ class QueryRow:
 def _numeric_vector(values, what: str) -> Vector:
     try:
         vector = as_vector(values)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MetadataError(f"{what} holds a non-numeric vector") from None
     if not np.all(np.isfinite(vector)):
         raise MetadataError(f"{what} holds a non-finite vector")
@@ -190,9 +190,12 @@ def validate_prior(probs, space: AttributeSpace) -> dict[str, float]:
         raise ConfigError(
             f"prior must assign a probability to every value of {space.name!r}"
         )
-    out = {value: float(probs[value]) for value in space.values}
-    if any(p < 0 for p in out.values()):
-        raise ConfigError("prior probabilities must be non-negative")
+    try:
+        out = {value: float(probs[value]) for value in space.values}
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("prior probabilities must be numbers") from None
+    if not all(0 <= p < np.inf for p in out.values()):  # NaN fails both
+        raise ConfigError("prior probabilities must be finite and non-negative")
     if abs(sum(out.values()) - 1.0) > 1e-9:
         raise ConfigError("prior probabilities must sum to 1")
     return out
@@ -305,9 +308,7 @@ def run_query_reports(
                 lam=None,
                 residuals=(),
                 dropped_columns=0,
-                distance_gap={},
-                skipped=True,
-                skip_reason=resolved.skip_reason,
+                distance_gap={"baseline": None, "step1": None, "final": None},
             )
             for mode in cfg.modes
         }
@@ -320,10 +321,9 @@ def run_query_reports(
     else:
         ranking = resolved.embedding
     subsets = top_n_by_attribute(index, ranking, space, cfg.n)
-    reports = {}
-    for mode in cfg.modes:
-        report = debias(resolved.embedding, matrix, subsets, mode)
-        reports[mode] = replace(report, augmented_texts=resolved.augmented_texts)
+    reports = {
+        mode: debias(resolved.embedding, matrix, subsets, mode) for mode in cfg.modes
+    }
     return reports, subsets
 
 
@@ -357,12 +357,6 @@ def _fold_auc(
         )
     except (DegenerateGroup, EmptyGroup):
         return None
-
-
-def _report_distance_gap(report: DebiasReport) -> dict:
-    if report.skipped:
-        return {"baseline": None, "step1": None, "final": None}
-    return dict(report.distance_gap)
 
 
 def _mode_entry(
@@ -406,7 +400,7 @@ def _mode_entry(
         if auc is not None:
             aucs.append(auc)
     return {
-        "distance_gap": _report_distance_gap(report),
+        "distance_gap": report.distance_gap,
         "lambda": report.lam,
         "max_equalization_residual": (
             max(report.residuals) if report.residuals else None
@@ -567,7 +561,7 @@ def debias_report_json(
             "lambda": report.lam,
             "residuals": list(report.residuals),
             "dropped_columns": report.dropped_columns,
-            "distance_gap": _report_distance_gap(report),
+            "distance_gap": report.distance_gap,
         }
     return {
         "schema": SCHEMA,

@@ -13,8 +13,8 @@ import numpy as np
 
 from .augment import AttributeSpace
 from .dataset import LabeledEmbeddingTable
-from .errors import ConfigError, EmptyGroup, UnknownLabel
-from .vectors import Vector, normalize
+from .errors import ConfigError, DimensionMismatch, EmptyGroup, UnknownLabel
+from .vectors import Vector, as_vector, normalize
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,11 @@ def retrieve_top_k(table: LabeledEmbeddingTable, query, k: int) -> list[Retrieve
     """The k most similar records (all of them when k exceeds the table)."""
     if k < 1:
         raise ConfigError("k must be at least 1")
+    query = as_vector(query)
+    if query.shape[0] != table.dim:
+        raise DimensionMismatch(
+            f"query has dimension {query.shape[0]}, table {table.dim}"
+        )
     similarities = table.vectors @ normalize(query)
     return [
         Retrieved(

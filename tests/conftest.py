@@ -28,11 +28,11 @@ def hash_embedding(text: str, dim: int) -> list[float]:
     return (vec / np.linalg.norm(vec)).tolist()
 
 
-def _make_embed_handler(dim):
+def _make_embed_handler(dim, row):
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            rows = [hash_embedding(text, dim) for text in body["texts"]]
+            rows = [row or hash_embedding(text, dim) for text in body["texts"]]
             blob = json.dumps({"embeddings": rows}).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
@@ -48,11 +48,14 @@ def _make_embed_handler(dim):
 
 @pytest.fixture
 def embed_stub():
-    """Factory: start a deterministic hash-embedding HTTP stub for a dim."""
+    """Factory: start a deterministic hash-embedding HTTP stub for a dim.
+
+    A given ``row`` is sent back for every text instead.
+    """
     servers = []
 
-    def start(dim: int) -> str:
-        server = HTTPServer(("127.0.0.1", 0), _make_embed_handler(dim))
+    def start(dim: int, row: list | None = None) -> str:
+        server = HTTPServer(("127.0.0.1", 0), _make_embed_handler(dim, row))
         threading.Thread(target=server.serve_forever, daemon=True).start()
         servers.append(server)
         return f"http://127.0.0.1:{server.server_port}/embed"

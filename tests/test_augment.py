@@ -14,7 +14,7 @@ from bend.augment import (
     generic_prompts,
     mentions_attribute,
 )
-from bend.errors import ConfigError, EmptyQuery, MalformedResponse, ProviderUnavailable
+from bend.errors import ConfigError, EmptyQuery
 
 FAIRFACE_RACES = (
     "White",
@@ -41,6 +41,24 @@ class TestAttributeSpace:
             attribute_space(
                 "gender", ("male", "female"), insertion_terms={"male": "male"}
             )
+
+    @pytest.mark.parametrize(
+        "values, terms, prompts",
+        [
+            pytest.param(5, None, None, id="values-number"),
+            pytest.param("mf", None, None, id="values-string"),
+            pytest.param(["male", 5], None, None, id="values-non-string"),
+            pytest.param(
+                ["male", "female"], {"male": 5, "female": "female"}, None,
+                id="insertion-term-number",
+            ),
+            pytest.param(["male", "female"], None, ["a", "b"], id="prompts-list"),
+        ],
+    )
+    def test_wrong_json_types_rejected(self, values, terms, prompts):
+        with pytest.raises(ConfigError):
+            attribute_space("gender", values, insertion_terms=terms,
+                            generic_prompts=prompts)
 
 
 class TestAugmentQuery:
@@ -170,30 +188,18 @@ class TestExternalAugmenter:
             "female": "female :: a photo of a vet",
         }
 
-    def test_missing_value_without_fallback(self, augment_server):
+    def test_missing_value_falls_back(self, augment_server):
         _AugmentHandler.behavior = "missing"
-        with pytest.raises(MalformedResponse):
-            external_augmenter("a photo of a vet", GENDER, augment_server,
-                               fallback=False)
+        out = external_augmenter("a photo of a vet", GENDER, augment_server)
+        assert out.source == "template-fallback"
+        assert out.per_value_texts == augment_query("a photo of a vet", GENDER).per_value_texts
 
     def test_garbage_falls_back_to_templates(self, augment_server):
         _AugmentHandler.behavior = "garbage"
         out = external_augmenter("a photo of a vet", GENDER, augment_server)
-        assert out.used_fallback
+        assert out.source == "template-fallback"
         assert out.per_value_texts["male"] == "a photo of a male vet"
 
     def test_unreachable_falls_back(self):
-        out = external_augmenter(
-            "a photo of a vet", GENDER, "http://127.0.0.1:1/nope", timeout=0.2
-        )
-        assert out.used_fallback
-
-    def test_unreachable_without_fallback(self):
-        with pytest.raises(ProviderUnavailable):
-            external_augmenter(
-                "a photo of a vet",
-                GENDER,
-                "http://127.0.0.1:1/nope",
-                timeout=0.2,
-                fallback=False,
-            )
+        out = external_augmenter("a photo of a vet", GENDER, "http://127.0.0.1:1/nope")
+        assert out.source == "template-fallback"

@@ -338,3 +338,72 @@ class TestBoundaryErrors:
         assert proc.returncode == 5
         assert "MetadataError" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_wrong_dimension_vector_exits_5(self, ref_target):
+        _, target = ref_target
+        proc = run_module("retrieve", "--vector", "[1.0, 0.0]", "--target", str(target))
+        assert proc.returncode == 5
+        assert "DimensionMismatch" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "case, code, expected",
+        [
+            ("vector-huge-int", 2, "ConfigError"),
+            ("queries-huge-int", 5, "MetadataError"),
+            ("prior-non-numeric", 2, "ConfigError"),
+            ("prior-nan", 2, "ConfigError"),
+        ],
+    )
+    def test_bad_number_exits_cleanly(self, ref_target, tmp_path, case, code, expected):
+        ref, target = ref_target
+        huge_vector = "[1" + "0" * 400 + ", 0.0" * 15 + "]"
+        if case == "vector-huge-int":
+            args = ["retrieve", "--vector", huge_vector, "--target", str(target)]
+        elif case == "queries-huge-int":
+            queries = tmp_path / "q.jsonl"
+            queries.write_text(f'{{"id": "q", "vector": {huge_vector}}}\n')
+            args = ["evaluate", str(queries), "--reference", str(ref),
+                    "--target", str(target), "--attribute", "gender"]
+        else:
+            prior = tmp_path / "prior.json"
+            bad = '"a"' if case == "prior-non-numeric" else "NaN"
+            prior.write_text(f'{{"male": {bad}, "female": 0.5}}')
+            args = ["retrieve", "--vector", json.dumps([1.0] + [0.0] * 15),
+                    "--target", str(target), "--attribute", "gender",
+                    "--prior", str(prior)]
+        proc = run_module(*args)
+        assert proc.returncode == code
+        assert expected in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_wrong_attribute_type_in_synth_spec_exits_2(self, tmp_path):
+        body = synth_spec_body()
+        body["attribute"]["insertion_terms"] = {"male": 5, "female": "female"}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(body))
+        proc = run_module("synth", str(spec), str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "ConfigError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            pytest.param([1.0, [2.0]] + [0.0] * 14, id="ragged"),
+            pytest.param(["a"] * 16, id="non-numeric"),
+            pytest.param([10**400] + [0.0] * 15, id="huge-int"),
+        ],
+    )
+    def test_malformed_embedding_exits_5(self, ref_target, embed_stub, tmp_path, row):
+        ref, target = ref_target
+        queries = tmp_path / "q.jsonl"
+        queries.write_text(json.dumps({"id": "t", "text": "a photo of a welder"}) + "\n")
+        proc = run_module(
+            "evaluate", str(queries), "--reference", str(ref),
+            "--target", str(target), "--attribute", "gender",
+            "--embed-endpoint", embed_stub(16, row),
+        )
+        assert proc.returncode == 5
+        assert "MalformedResponse" in proc.stderr
+        assert "Traceback" not in proc.stderr

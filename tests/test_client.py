@@ -1,12 +1,19 @@
 import json
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+import requests
+from hypothesis import given
+from hypothesis import strategies as st
 
+from bend import client
+from bend.augment import GENDER, external_augmenter
 from bend.client import EmbeddingEndpoint, embed_text
 from bend.errors import (
+    BendError,
     DimensionMismatch,
     EmptyQuery,
     MalformedResponse,
@@ -15,6 +22,15 @@ from bend.errors import (
 )
 
 DIM = 8
+
+# Rows a misbehaving service might send, each the right length for DIM.
+BAD_ROWS = {
+    "ragged": [1.0, [2.0]] + [0.0] * (DIM - 2),
+    "non-numeric": ["a"] * DIM,
+    "huge-int": [10**400] + [0.0] * (DIM - 1),
+    "zero": [0.0] * DIM,
+    "norm-overflow": [1e200] * DIM,
+}
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
@@ -93,6 +109,15 @@ class TestEmbedText:
         with pytest.raises(MalformedResponse):
             embed_text(["x", "y"], embed_server)
 
+    @pytest.mark.parametrize("name", sorted(BAD_ROWS))
+    def test_malformed_row_rejected(self, embed_stub, name):
+        endpoint = EmbeddingEndpoint(url=embed_stub(DIM, BAD_ROWS[name]), expected_dim=DIM)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(MalformedResponse) as excinfo:
+                embed_text(["x"], endpoint)
+        assert excinfo.value.exit_code == 5
+
     def test_retry_then_success(self, embed_server):
         _EmbedHandler.behavior = "flaky"
         out = embed_text(["x"], embed_server)
@@ -116,3 +141,96 @@ class TestEmbedText:
     def test_empty_batch_rejected(self, embed_server):
         with pytest.raises(EmptyQuery):
             embed_text([], embed_server)
+
+
+# -- any body a service could send ------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.just(10**400),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+numbers = st.floats() | st.integers() | st.sampled_from([0.0, 5e-324, 1e200, 10**400])
+valid_rows = st.lists(st.floats(-10, 10), min_size=DIM, max_size=DIM)
+odd_rows = st.lists(numbers, min_size=DIM, max_size=DIM) | st.lists(json_values, max_size=DIM + 1)
+embed_bodies = st.one_of(
+    st.fixed_dictionaries({"embeddings": st.lists(valid_rows, min_size=2, max_size=2)}),
+    st.fixed_dictionaries(
+        {"embeddings": st.lists(valid_rows | odd_rows, min_size=2, max_size=2)}
+    ),
+    st.fixed_dictionaries({"embeddings": st.lists(odd_rows, max_size=3) | json_values}),
+    json_values,
+)
+augment_texts = st.text(max_size=6) | json_values
+augment_bodies = st.one_of(
+    st.fixed_dictionaries(
+        {"augmented": st.fixed_dictionaries({"male": st.text(), "female": st.text()})}
+    ),
+    st.fixed_dictionaries(
+        {
+            "augmented": st.dictionaries(
+                st.sampled_from(["male", "female", "other"]), augment_texts
+            )
+            | json_values
+        }
+    ),
+    json_values,
+)
+
+
+@st.composite
+def replies(draw, bodies):
+    """(status, raw body); a None status stands for a refused connection."""
+    status = draw(st.sampled_from([200, 200, 200, 200, 404, 503, None]))
+    if draw(st.integers(0, 9)) == 0:
+        return status, b"not json"
+    return status, json.dumps(draw(bodies)).encode()
+
+
+def fake_post(script):
+    """A stand-in for ``requests.post`` that plays back ``script`` in order."""
+    script = iter(script)
+
+    def post(url, json=None, timeout=None, headers=None):
+        status, raw = next(script)
+        if status is None:
+            raise requests.ConnectionError("connection refused")
+        response = requests.Response()
+        response.status_code = status
+        response._content = raw
+        response.url = url
+        return response
+
+    return post
+
+
+@given(script=st.lists(replies(embed_bodies), min_size=2, max_size=2))
+def test_embed_text_returns_unit_vectors_or_bend_error(script):
+    endpoint = EmbeddingEndpoint(url="http://embedder.test/embed", expected_dim=DIM)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        patch.setattr(client, "RETRY_BACKOFF_SECONDS", 0)
+        patch.setattr(client.requests, "post", fake_post(script))
+        try:
+            out = embed_text(["a", "b"], endpoint)
+        except BendError as exc:
+            assert exc.exit_code in (4, 5)
+            return
+    assert len(out) == 2
+    for vec in out:
+        assert vec.shape == (DIM,)
+        assert np.all(np.isfinite(vec))
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
+
+
+@given(reply=replies(augment_bodies))
+def test_external_augmenter_never_raises(reply):
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        patch.setattr(client.requests, "post", fake_post([reply]))
+        out = external_augmenter("a photo of a vet", GENDER, "http://augmenter.test/augment")
+    assert out.source in ("external", "template-fallback")
+    assert set(out.per_value_texts) == set(GENDER.values)
+    assert all(isinstance(t, str) and t.strip() for t in out.per_value_texts.values())

@@ -196,6 +196,29 @@ class TestRoundTrip:
         with pytest.raises(ManifestError):
             read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            pytest.param("attributes", 5, ManifestError, id="attributes-number"),
+            pytest.param("values", 5, ConfigError, id="values-number"),
+            pytest.param(
+                "insertion_terms", {"male": 5, "female": "female"}, ConfigError,
+                id="insertion-term-number",
+            ),
+            pytest.param("generic_prompts", ["a", "b"], ConfigError, id="prompts-list"),
+        ],
+    )
+    def test_attribute_declaration_types(self, rng, tmp_path, field, value, error):
+        path = write_dataset(small_table(rng), tmp_path / "ds")
+        manifest = json.loads(path.read_text())
+        if field == "attributes":
+            manifest["attributes"] = value
+        else:
+            manifest["attributes"][0][field] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(error):
+            read_dataset(path)
+
 
 class TestSplit:
     def test_shapes_and_fold_sizes(self, rng):

@@ -94,6 +94,7 @@ class TestQueryLoading:
             ),
             pytest.param("vector", [1.0, float("nan")], id="vector-nan"),
             pytest.param("vector", [float("inf"), 0.0], id="vector-inf"),
+            pytest.param("vector", [10**400, 0.0], id="vector-huge-int"),
             pytest.param(
                 "augmented",
                 {"male": [1.0, float("-inf")], "female": [0.0, 1.0]},
@@ -184,7 +185,8 @@ class TestResolveQuery:
         reports, subsets = run_query_reports(resolved, index, GENDER, cfg)
         assert subsets is None
         for report in reports.values():
-            assert report.skipped
+            assert report.step1 is None
+            assert report.distance_gap == {"baseline": None, "step1": None, "final": None}
             assert np.allclose(report.final, resolved.embedding)
 
 
@@ -228,12 +230,18 @@ class TestEvaluate:
         report = evaluate(rows, reference, target, cfg)
         assert report["prior"] == {"male": 0.5, "female": 0.5}
 
-    def test_bad_prior_rejected(self):
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            pytest.param({"male": 0.7, "female": 0.7}, id="sum"),
+            pytest.param({"male": "a", "female": 0.5}, id="non-numeric"),
+            pytest.param({"male": 10**400, "female": 0.0}, id="huge-int"),
+            pytest.param({"male": float("nan"), "female": 0.5}, id="nan"),
+        ],
+    )
+    def test_bad_prior_rejected(self, prior):
         reference, target, rows, _ = small_setup()
-        cfg = RunConfig(
-            attribute="gender", n=20, k=80,
-            prior={"male": 0.7, "female": 0.7},
-        )
+        cfg = RunConfig(attribute="gender", n=20, k=80, prior=prior)
         with pytest.raises(ConfigError):
             evaluate(rows, reference, target, cfg)
 
