@@ -31,7 +31,7 @@ from .errors import BendError, ConfigError, MissingEndpoint, NonFiniteValue
 from .pipeline import QueryRow, RunConfig
 from .reference_index import build_index
 from .reporting import dumps
-from .vectors import as_vector
+from .vectors import number_vector
 
 EMBED_ENDPOINT_ENV = "BEND_EMBED_ENDPOINT"
 
@@ -39,10 +39,10 @@ EMBED_ENDPOINT_ENV = "BEND_EMBED_ENDPOINT"
 def _parse_vector(raw: str):
     try:
         if raw.lstrip().startswith("["):
-            vector = as_vector(json.loads(raw))
+            vector = number_vector(json.loads(raw))
         else:
             path = Path(raw[1:] if raw.startswith("@") else raw)
-            vector = as_vector(json.loads(path.read_text(encoding="utf-8")))
+            vector = number_vector(json.loads(path.read_text(encoding="utf-8")))
     except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cannot parse query vector: {exc}") from None
     if not np.all(np.isfinite(vector)):

@@ -24,7 +24,7 @@ from .errors import (
     NonFiniteValue,
     ProviderUnavailable,
 )
-from .vectors import ZERO_NORM_EPS, Vector
+from .vectors import ZERO_NORM_EPS, Vector, number_vector
 
 RETRY_BACKOFF_SECONDS = 0.25
 
@@ -106,10 +106,10 @@ def embed_text(texts: Sequence[str], endpoint: EmbeddingEndpoint) -> list[Vector
     out = []
     for i, row in enumerate(rows):
         try:
-            arr = np.asarray(row, dtype=np.float64)
+            arr = number_vector(row)
         except (TypeError, ValueError, OverflowError):
             raise MalformedResponse(f"embedding {i} is not a list of numbers") from None
-        if arr.ndim != 1 or arr.shape[0] != endpoint.expected_dim:
+        if arr.shape[0] != endpoint.expected_dim:
             raise DimensionMismatch(
                 f"embedding {i} has dimension {arr.shape}, expected "
                 f"({endpoint.expected_dim},)"

@@ -48,7 +48,7 @@ from .reference_index import (
 )
 from .reporting import SCHEMA, summary_stats
 from .subspace import GENERIC_COLUMN_MODES, build_attribute_matrix, orthogonalize
-from .vectors import Vector, as_vector, mean_embedding, normalize
+from .vectors import Vector, is_number, mean_embedding, normalize, number_vector
 
 SUBSET_RANKINGS = ("step1", "raw")
 
@@ -101,7 +101,7 @@ class QueryRow:
 
 def _numeric_vector(values, what: str) -> Vector:
     try:
-        vector = as_vector(values)
+        vector = number_vector(values)
     except (TypeError, ValueError, OverflowError):
         raise MetadataError(f"{what} holds a non-numeric vector") from None
     if not np.all(np.isfinite(vector)):
@@ -126,6 +126,9 @@ def parse_query_row(record: dict, lineno: int = 0) -> QueryRow:
         raise MetadataError(f"query line {lineno} needs a string 'id'")
     text = record.get("text")
     vector = record.get("vector")
+    class_label = record.get("class")
+    if class_label is not None and not isinstance(class_label, str):
+        raise MetadataError(f"query {query_id!r} has a 'class' that is not a string")
     if (text is None) == (vector is None):
         raise MetadataError(
             f"query {query_id!r} must carry exactly one of 'text' or 'vector'"
@@ -134,7 +137,7 @@ def parse_query_row(record: dict, lineno: int = 0) -> QueryRow:
         id=query_id,
         text=text if text is None else str(text),
         vector=None if vector is None else _numeric_vector(vector, f"query {query_id!r}"),
-        class_label=record.get("class"),
+        class_label=class_label,
         augmented=(
             _vector_map(record["augmented"], "augmented")
             if record.get("augmented") is not None
@@ -190,9 +193,11 @@ def validate_prior(probs, space: AttributeSpace) -> dict[str, float]:
         raise ConfigError(
             f"prior must assign a probability to every value of {space.name!r}"
         )
+    if not all(is_number(probs[value]) for value in space.values):
+        raise ConfigError("prior probabilities must be numbers")
     try:
         out = {value: float(probs[value]) for value in space.values}
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ConfigError("prior probabilities must be numbers") from None
     if not all(0 <= p < np.inf for p in out.values()):  # NaN fails both
         raise ConfigError("prior probabilities must be finite and non-negative")
@@ -439,6 +444,7 @@ def evaluate(
     for fold in map(np.sort, folds):
         pool = np.setdiff1d(np.arange(target.count), fold, assume_unique=True)
         pools.append((pool, {v: fold[target_labels[fold] == v] for v in space.values}))
+    classes = np.array(target.classes, dtype=object)
     if cfg.prior is not None:
         prior = validate_prior(cfg.prior, space)
     else:
@@ -448,9 +454,7 @@ def evaluate(
         try:
             resolved = resolve_query(row, space, index, cfg)
             reports, subsets = run_query_reports(resolved, index, space, cfg)
-            positive = None if row.class_label is None else np.array(
-                [c == row.class_label for c in target.classes], dtype=bool
-            )
+            positive = None if row.class_label is None else classes == row.class_label
             entry = {
                 "id": row.id,
                 "class": row.class_label,

@@ -43,6 +43,7 @@ class ReferenceIndex:
     def __init__(self, table: LabeledEmbeddingTable):
         self.table = table
         self.partitions: dict[str, dict[str, np.ndarray]] = {}
+        self._means: dict[str, dict[str, Vector]] = {}
         for name, space in table.spaces.items():
             labels = np.array(table.attributes[name])
             self.partitions[name] = {
@@ -55,13 +56,21 @@ class ReferenceIndex:
         return self.partitions[attribute]
 
     def group_means(self, attribute: str) -> dict[str, Vector]:
-        """Raw mean of the unit rows for every value with members."""
-        out = {}
-        for value, idx in self.partition(attribute).items():
-            if idx.size == 0:
-                raise EmptyGroup(f"attribute value {value!r} has no records")
-            out[value] = self.table.vectors[idx].mean(axis=0)
-        return out
+        """Raw mean of the unit rows for every value with members.
+
+        Averaged on first use and kept, read-only, for the life of the index;
+        the returned dict is always a fresh one.
+        """
+        means = self._means.get(attribute)
+        if means is None:
+            means = {}
+            for value, idx in self.partition(attribute).items():
+                if idx.size == 0:
+                    raise EmptyGroup(f"attribute value {value!r} has no records")
+                means[value] = self.table.vectors[idx].mean(axis=0)
+                means[value].flags.writeable = False
+            self._means[attribute] = means
+        return dict(means)
 
 
 def build_index(table: LabeledEmbeddingTable) -> ReferenceIndex:
@@ -71,8 +80,17 @@ def build_index(table: LabeledEmbeddingTable) -> ReferenceIndex:
 def top_rows(
     table: LabeledEmbeddingTable, scores: np.ndarray, rows: np.ndarray, limit: int
 ) -> np.ndarray:
-    """The ``limit`` best of ``rows`` by ``scores``: descending score, then ascending id."""
-    return rows[np.lexsort((table.id_rank[rows], -scores[rows]))[:limit]]
+    """The ``limit`` best of ``rows`` by ``scores``: descending score, then ascending id.
+
+    Only rows scoring at or above the ``limit``-th best score are sorted. That
+    keeps the whole tie run at the cutoff, so the tie rule is unchanged; scores
+    are finite, so ``>=`` selects exactly those rows.
+    """
+    candidates = scores[rows]
+    if limit < rows.size:
+        keep = candidates >= np.partition(candidates, -limit)[-limit]
+        rows, candidates = rows[keep], candidates[keep]
+    return rows[np.lexsort((table.id_rank[rows], -candidates))[:limit]]
 
 
 def top_n_by_attribute(

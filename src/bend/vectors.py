@@ -27,6 +27,22 @@ def as_vector(values: Sequence[float] | np.ndarray) -> Vector:
     return arr
 
 
+def is_number(value) -> bool:
+    """A JSON number as ``json.loads`` returns it: an int or a float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def number_vector(values) -> Vector:
+    """``as_vector`` for decoded JSON, where every element must be a number.
+
+    numpy alone reads ``"1"`` and ``true`` as 1.0. Any element that fails
+    ``is_number`` raises ``TypeError``, as a non-iterable ``values`` does.
+    """
+    if not all(map(is_number, values)):
+        raise TypeError("vector elements must be numbers")
+    return as_vector(values)
+
+
 def _same_dim(u: Vector, v: Vector) -> None:
     if u.shape[0] != v.shape[0]:
         raise DimensionMismatch(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")

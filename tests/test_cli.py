@@ -350,25 +350,41 @@ class TestBoundaryErrors:
         "case, code, expected",
         [
             ("vector-huge-int", 2, "ConfigError"),
+            ("vector-numeric-strings", 2, "ConfigError"),
+            ("vector-booleans", 2, "ConfigError"),
             ("queries-huge-int", 5, "MetadataError"),
+            ("queries-numeric-strings", 5, "MetadataError"),
+            ("queries-booleans", 5, "MetadataError"),
             ("prior-non-numeric", 2, "ConfigError"),
             ("prior-nan", 2, "ConfigError"),
+            ("prior-numeric-string", 2, "ConfigError"),
+            ("prior-boolean", 2, "ConfigError"),
         ],
     )
     def test_bad_number_exits_cleanly(self, ref_target, tmp_path, case, code, expected):
         ref, target = ref_target
-        huge_vector = "[1" + "0" * 400 + ", 0.0" * 15 + "]"
-        if case == "vector-huge-int":
-            args = ["retrieve", "--vector", huge_vector, "--target", str(target)]
-        elif case == "queries-huge-int":
+        vectors = {
+            "huge-int": "[1" + "0" * 400 + ", 0.0" * 15 + "]",
+            "numeric-strings": json.dumps(["1"] + ["0"] * 15),
+            "booleans": json.dumps([True] + [False] * 15),
+        }
+        priors = {
+            "non-numeric": '"a"',
+            "nan": "NaN",
+            "numeric-string": '"0.5"',
+            "boolean": "true",
+        }
+        where, _, bad = case.partition("-")
+        if where == "vector":
+            args = ["retrieve", "--vector", vectors[bad], "--target", str(target)]
+        elif where == "queries":
             queries = tmp_path / "q.jsonl"
-            queries.write_text(f'{{"id": "q", "vector": {huge_vector}}}\n')
+            queries.write_text(f'{{"id": "q", "vector": {vectors[bad]}}}\n')
             args = ["evaluate", str(queries), "--reference", str(ref),
                     "--target", str(target), "--attribute", "gender"]
         else:
             prior = tmp_path / "prior.json"
-            bad = '"a"' if case == "prior-non-numeric" else "NaN"
-            prior.write_text(f'{{"male": {bad}, "female": 0.5}}')
+            prior.write_text(f'{{"male": {priors[bad]}, "female": 0.5}}')
             args = ["retrieve", "--vector", json.dumps([1.0] + [0.0] * 15),
                     "--target", str(target), "--attribute", "gender",
                     "--prior", str(prior)]
@@ -393,6 +409,8 @@ class TestBoundaryErrors:
             pytest.param([1.0, [2.0]] + [0.0] * 14, id="ragged"),
             pytest.param(["a"] * 16, id="non-numeric"),
             pytest.param([10**400] + [0.0] * 15, id="huge-int"),
+            pytest.param(["1"] + ["0"] * 15, id="numeric-strings"),
+            pytest.param([True] + [False] * 15, id="booleans"),
         ],
     )
     def test_malformed_embedding_exits_5(self, ref_target, embed_stub, tmp_path, row):

@@ -27,6 +27,8 @@ DIM = 8
 BAD_ROWS = {
     "ragged": [1.0, [2.0]] + [0.0] * (DIM - 2),
     "non-numeric": ["a"] * DIM,
+    "numeric-strings": ["1"] * DIM,
+    "booleans": [True] * DIM,
     "huge-int": [10**400] + [0.0] * (DIM - 1),
     "zero": [0.0] * DIM,
     "norm-overflow": [1e200] * DIM,

@@ -95,6 +95,12 @@ class TestQueryLoading:
             pytest.param("vector", [1.0, float("nan")], id="vector-nan"),
             pytest.param("vector", [float("inf"), 0.0], id="vector-inf"),
             pytest.param("vector", [10**400, 0.0], id="vector-huge-int"),
+            pytest.param("vector", ["1", "0"], id="vector-numeric-strings"),
+            pytest.param("vector", [True, False], id="vector-booleans"),
+            pytest.param("vector", [1.0, [0.0]], id="vector-nested"),
+            pytest.param(
+                "generic", {"male": [1, False], "female": [0.0, 1.0]}, id="generic-boolean"
+            ),
             pytest.param(
                 "augmented",
                 {"male": [1.0, float("-inf")], "female": [0.0, 1.0]},
@@ -111,6 +117,16 @@ class TestQueryLoading:
         record = {"id": "q", "vector": [1.0, 0.0], field: value}
         with pytest.raises(MetadataError):
             parse_query_row(record)
+
+    @pytest.mark.parametrize("label", [["c0"], 1, True])
+    def test_non_string_class_rejected(self, label):
+        with pytest.raises(MetadataError):
+            parse_query_row({"id": "q", "vector": [1.0, 0.0], "class": label})
+
+    def test_integer_vector_accepted(self):
+        row = parse_query_row({"id": "q", "vector": [1, 0]})
+        assert row.vector.dtype == np.float64
+        assert row.vector.tolist() == [1.0, 0.0]
 
     def test_bundled_vectors_parsed(self):
         row = parse_query_row(
@@ -237,6 +253,8 @@ class TestEvaluate:
             pytest.param({"male": "a", "female": 0.5}, id="non-numeric"),
             pytest.param({"male": 10**400, "female": 0.0}, id="huge-int"),
             pytest.param({"male": float("nan"), "female": 0.5}, id="nan"),
+            pytest.param({"male": "0.5", "female": 0.5}, id="numeric-string"),
+            pytest.param({"male": True, "female": False}, id="boolean"),
         ],
     )
     def test_bad_prior_rejected(self, prior):

@@ -7,6 +7,7 @@ counting pairs, which is the documented contract of all three rankings.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +90,44 @@ def test_top_rows_matches_sorted(table, query, data):
     limit = data.draw(st.integers(1, table.count + 2))
     got = top_rows(table, scores, np.array(rows), limit)
     assert got.tolist() == reference_top(table, scores, rows, limit)
+
+
+def tied_table(scores):
+    """A table whose rows score exactly ``scores`` against the first axis."""
+    scores = np.asarray(scores, dtype=np.float64)
+    count = scores.size
+    rows = np.stack([scores, np.sqrt(1.0 - scores**2)], axis=1)
+    return LabeledEmbeddingTable(
+        vectors=rows,
+        # Ids run against row order, so row order cannot stand in for them.
+        ids=tuple(f"r{count - i:02d}" for i in range(count)),
+        attributes={"gender": ("male", "female") * (count // 2)},
+        classes=(None,) * count,
+        spaces={"gender": GENDER},
+    )
+
+
+@pytest.mark.parametrize(
+    "scores, limit",
+    [
+        pytest.param([0.5] * 8, 3, id="all-tied"),
+        pytest.param([0.5] * 8, 8, id="all-tied-limit-is-size"),
+        pytest.param([0.5] * 8, 7, id="all-tied-limit-is-size-less-one"),
+        pytest.param([0.9, 0.5, 0.5, 0.5, 0.5, 0.1], 3, id="run-straddles-limit"),
+        pytest.param([0.1, 0.5, 0.9, 0.5, 0.1, 0.5], 5, id="two-runs-straddle"),
+        pytest.param([0.1, 0.5, 0.9, 0.5, 0.1, 0.5], 6, id="limit-is-size"),
+        pytest.param([0.1, 0.5, 0.9, 0.5, 0.1, 0.5], 4, id="run-ends-at-limit"),
+    ],
+)
+def test_top_rows_keeps_the_tie_run_at_the_cutoff(scores, limit):
+    table = tied_table(scores)
+    column = table.vectors @ np.array([1.0, 0.0])
+    rows = np.arange(table.count)
+    got = top_rows(table, column, rows, limit)
+    assert got.tolist() == reference_top(table, column, rows.tolist(), limit)
+    reversed_rows = rows[::-1]
+    got = top_rows(table, column, reversed_rows, limit)
+    assert got.tolist() == reference_top(table, column, reversed_rows.tolist(), limit)
 
 
 @given(tables(), grid_vectors, st.integers(1, 45))

@@ -63,6 +63,39 @@ class TestBuildIndex:
         assert np.allclose(means["male"], manual)
 
 
+class TestGroupMeansCache:
+    def test_cached_means_are_bit_equal_to_a_fresh_mean(self, rng):
+        table = table_from_rows(rng.standard_normal((30, 5)), ["male", "female"] * 15)
+        index = build_index(table)
+        index.group_means("gender")
+        means = index.group_means("gender")
+        for value, idx in index.partition("gender").items():
+            assert np.array_equal(means[value], table.vectors[idx].mean(axis=0))
+
+    def test_cached_means_are_read_only(self, four_record_index):
+        means = four_record_index.group_means("gender")
+        with pytest.raises(ValueError):
+            means["male"][0] = 0.0
+
+    def test_each_call_returns_a_fresh_dict(self, four_record_index):
+        first = four_record_index.group_means("gender")
+        expected = {v: m.copy() for v, m in first.items()}
+        first["male"] = np.zeros(2)
+        del first["female"]
+        second = four_record_index.group_means("gender")
+        assert second is not first
+        assert set(second) == {"male", "female"}
+        for value, mean in expected.items():
+            assert np.array_equal(second[value], mean)
+
+    def test_empty_group_raises_on_every_call(self):
+        table = table_from_rows([[1.0, 0.0], [0.9, 0.1]], ["male", "male"])
+        index = build_index(table)
+        for _ in range(2):
+            with pytest.raises(EmptyGroup):
+                index.group_means("gender")
+
+
 class TestTopNByAttribute:
     def test_ordering(self, four_record_index):
         query = np.array([1.0, 0.0])
