@@ -10,10 +10,11 @@ is a plain dot product everywhere downstream.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -39,6 +40,9 @@ META_NAME = "meta.jsonl"
 QUERIES_NAME = "queries.jsonl"
 # Largest |squared row norm - 1| a table accepts.
 UNIT_NORM_TOL = 1e-6
+# Rows per block when vectors stream to or from disk: reading a table holds
+# the float64 table plus one float32 block, never a copy of the whole file.
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -145,16 +149,97 @@ def _space_from_json(obj) -> AttributeSpace:
     )
 
 
-def _normalized_rows(raw: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(raw, axis=1)
+def _normalize_rows(rows: np.ndarray, first: int, what: str) -> int | None:
+    """Unit-normalize ``rows``, records ``first`` onward, in place.
+
+    A non-finite row raises ``NonUnitRow``. If a row is zero, nothing is
+    divided and the first zero record is returned, so a reader streaming
+    blocks can still report a later non-finite row first.
+    """
+    norms = np.linalg.norm(rows, axis=1)
     finite = np.isfinite(norms)
     if not finite.all():
-        bad = int(np.argmin(finite))
+        bad = first + int(np.argmin(finite))
         raise NonUnitRow(f"{what} record {bad} has a non-finite component")
-    if np.any(norms <= ZERO_NORM_EPS):
-        bad = int(np.argmax(norms <= ZERO_NORM_EPS))
-        raise MetadataError(f"{what} record {bad} has a zero vector")
-    return raw / norms[:, None]
+    zero = norms <= ZERO_NORM_EPS
+    if zero.any():
+        return first + int(np.argmax(zero))
+    rows /= norms[:, None]
+    return None
+
+
+def _read_vectors(handle: BinaryIO, path: Path, count: int, dim: int) -> np.ndarray:
+    """Stream ``count`` float32 rows into one float64 table, normalizing by block.
+
+    Only the table and one float32 block are ever held. A zero row is
+    reported after the last block, since a non-finite row anywhere comes first.
+    """
+    table = np.empty((count, dim), dtype=np.float64)
+    buffer = np.empty((min(BLOCK_ROWS, count), dim), dtype="<f4")
+    zero = None
+    for start in range(0, count, BLOCK_ROWS):
+        block = buffer[: min(BLOCK_ROWS, count - start)]
+        try:
+            got = handle.readinto(block)
+        except OSError as exc:
+            raise DatasetIOError(f"cannot read vector file {path}: {exc}") from None
+        if got != block.nbytes:
+            raise SizeMismatch(
+                f"vector file ended after {start * dim * 4 + got} bytes, "
+                f"expected {count * dim * 4} ({count} x {dim} float32)"
+            )
+        rows = table[start : start + block.shape[0]]
+        rows[...] = block
+        found = _normalize_rows(rows, start, "dataset")
+        if zero is None:
+            zero = found
+    if zero is not None:
+        raise MetadataError(f"dataset record {zero} has a zero vector")
+    return table
+
+
+def _read_meta(
+    meta_path: Path, count: int, spaces: dict[str, AttributeSpace]
+) -> tuple[list[str], list[str | None], dict[str, list[str]]]:
+    """Parse ``meta.jsonl`` line by line into ids, classes and labels.
+
+    Each line is its own JSON document: joining lines into one array would
+    accept a record split across lines, or two records on one line.
+    """
+    try:
+        lines = meta_path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise DatasetIOError(f"cannot read metadata file {meta_path}: {exc}") from None
+    lines = [line for line in lines if line.strip()]
+    if len(lines) != count:
+        raise MetadataError(f"metadata has {len(lines)} records, manifest says {count}")
+
+    ids: list[str] = []
+    classes: list[str | None] = []
+    labels: dict[str, list[str]] = {name: [] for name in spaces}
+    for lineno, line in enumerate(lines):
+        try:
+            record = json.loads(line)
+        except ValueError:
+            raise MetadataError(f"metadata line {lineno} is not valid JSON") from None
+        if not isinstance(record, dict):
+            raise MetadataError(f"metadata line {lineno} is not a JSON object")
+        record_id = record.get("id")
+        if not isinstance(record_id, str) or not record_id:
+            raise MetadataError(f"metadata line {lineno} is missing a string 'id'")
+        ids.append(record_id)
+        classes.append(record.get("class"))
+        attrs = record.get("attributes") or {}
+        if not isinstance(attrs, dict):
+            raise MetadataError(f"metadata line {lineno} 'attributes' is not an object")
+        for name in spaces:
+            label = attrs.get(name)
+            if not isinstance(label, str):
+                raise MetadataError(
+                    f"metadata line {lineno} needs a string label for attribute {name!r}"
+                )
+            labels[name].append(label)
+    return ids, classes, labels
 
 
 def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
@@ -190,55 +275,24 @@ def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
 
     base = manifest_path.parent
     vec_path = base / vectors_file
-    meta_path = base / meta_file
     try:
-        blob = vec_path.read_bytes()
+        handle = vec_path.open("rb")
     except OSError as exc:
         raise DatasetIOError(f"cannot read vector file {vec_path}: {exc}") from None
-    expected = count * dim * 4
-    if len(blob) != expected:
-        raise SizeMismatch(
-            f"vector file holds {len(blob)} bytes, expected {expected} "
-            f"({count} x {dim} float32)"
-        )
-    raw = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(count, dim)
-
-    try:
-        lines = meta_path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DatasetIOError(f"cannot read metadata file {meta_path}: {exc}") from None
-    lines = [line for line in lines if line.strip()]
-    if len(lines) != count:
-        raise MetadataError(f"metadata has {len(lines)} records, manifest says {count}")
-
-    ids: list[str] = []
-    classes: list[str | None] = []
-    labels: dict[str, list[str]] = {name: [] for name in spaces}
-    for lineno, line in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except ValueError:
-            raise MetadataError(f"metadata line {lineno} is not valid JSON") from None
-        if not isinstance(record, dict):
-            raise MetadataError(f"metadata line {lineno} is not a JSON object")
-        record_id = record.get("id")
-        if not isinstance(record_id, str) or not record_id:
-            raise MetadataError(f"metadata line {lineno} is missing a string 'id'")
-        ids.append(record_id)
-        classes.append(record.get("class"))
-        attrs = record.get("attributes") or {}
-        if not isinstance(attrs, dict):
-            raise MetadataError(f"metadata line {lineno} 'attributes' is not an object")
-        for name in spaces:
-            label = attrs.get(name)
-            if not isinstance(label, str):
-                raise MetadataError(
-                    f"metadata line {lineno} needs a string label for attribute {name!r}"
-                )
-            labels[name].append(label)
+    with handle:
+        size = os.fstat(handle.fileno()).st_size
+        expected = count * dim * 4
+        if size != expected:
+            raise SizeMismatch(
+                f"vector file holds {size} bytes, expected {expected} "
+                f"({count} x {dim} float32)"
+            )
+        # Metadata errors come before vector errors, so parse it first.
+        ids, classes, labels = _read_meta(base / meta_file, count, spaces)
+        vectors = _read_vectors(handle, vec_path, count, dim)
 
     return LabeledEmbeddingTable(
-        vectors=_normalized_rows(raw, "dataset"),
+        vectors=vectors,
         ids=tuple(ids),
         attributes={name: tuple(vals) for name, vals in labels.items()},
         classes=tuple(classes),
@@ -258,9 +312,10 @@ def write_dataset(
         )
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / VECTORS_NAME).write_bytes(
-            np.ascontiguousarray(table.vectors, dtype="<f4").tobytes()
-        )
+        with (out_dir / VECTORS_NAME).open("wb") as handle:
+            for start in range(0, table.count, BLOCK_ROWS):
+                block = table.vectors[start : start + BLOCK_ROWS]
+                handle.write(np.ascontiguousarray(block, dtype="<f4"))
         with (out_dir / META_NAME).open("w", encoding="utf-8") as handle:
             for i, record_id in enumerate(table.ids):
                 record = {
@@ -475,26 +530,22 @@ def synth_generate(spec: SynthSpec) -> LabeledEmbeddingTable:
     """Deterministically generate the biased table described by ``spec``."""
     u, class_dirs, _ = _synth_directions(spec)
     rng = np.random.default_rng([spec.seed, 1])
-    rows = []
-    ids = []
-    labels = []
-    classes = []
-    index = 0
+    blocks: list[np.ndarray] = []
+    labels: list[str] = []
+    classes: list[str] = []
     for cell in spec.cells:
         center = class_dirs[cell.class_name] + cell.bias * u
         noise = rng.standard_normal((cell.count, spec.dim))
-        block = center[None, :] + spec.noise * noise
-        for row in block:
-            rows.append(row)
-            ids.append(f"r{index:06d}")
-            labels.append(cell.value)
-            classes.append(cell.class_name)
-            index += 1
-    vectors = np.stack(rows)
-    vectors = _normalized_rows(vectors, "synthetic")
+        blocks.append(center[None, :] + spec.noise * noise)
+        labels += [cell.value] * cell.count
+        classes += [cell.class_name] * cell.count
+    vectors = np.concatenate(blocks)
+    zero = _normalize_rows(vectors, 0, "synthetic")
+    if zero is not None:
+        raise MetadataError(f"synthetic record {zero} has a zero vector")
     return LabeledEmbeddingTable(
         vectors=vectors,
-        ids=tuple(ids),
+        ids=tuple(f"r{index:06d}" for index in range(len(labels))),
         attributes={spec.space.name: tuple(labels)},
         classes=tuple(classes),
         spaces={spec.space.name: spec.space},

@@ -16,6 +16,10 @@ from .dataset import LabeledEmbeddingTable
 from .errors import ConfigError, DimensionMismatch, EmptyGroup, UnknownLabel
 from .vectors import Vector, as_vector, normalize
 
+# Rows gathered per step when averaging a group, so a mean never copies a
+# whole group out of the table.
+MEAN_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class RelevantSubsets:
@@ -67,10 +71,23 @@ class ReferenceIndex:
             for value, idx in self.partition(attribute).items():
                 if idx.size == 0:
                     raise EmptyGroup(f"attribute value {value!r} has no records")
-                means[value] = self.table.vectors[idx].mean(axis=0)
+                means[value] = _mean_rows(self.table.vectors, idx)
                 means[value].flags.writeable = False
             self._means[attribute] = means
         return dict(means)
+
+
+def _mean_rows(vectors: np.ndarray, idx: np.ndarray) -> Vector:
+    """``vectors[idx].mean(axis=0)`` bit for bit, gathering one block at a time.
+
+    An axis-0 sum adds rows in order into one running row, so putting that
+    row first in the next block continues the same sum.
+    """
+    total = np.zeros(vectors.shape[1])
+    for start in range(0, idx.size, MEAN_BLOCK_ROWS):
+        rows = vectors[idx[start : start + MEAN_BLOCK_ROWS]]
+        total = np.add.reduce(np.vstack([total[None], rows]), axis=0)
+    return total / idx.size
 
 
 def build_index(table: LabeledEmbeddingTable) -> ReferenceIndex:

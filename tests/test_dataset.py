@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bend import dataset
 from bend.augment import GENDER
 from bend.dataset import (
     LabeledEmbeddingTable,
@@ -218,6 +219,112 @@ class TestRoundTrip:
         path.write_text(json.dumps(manifest))
         with pytest.raises(error):
             read_dataset(path)
+
+
+def write_raw(rng, tmp_path, raw):
+    """A dataset whose vector file holds exactly the float32 rows ``raw``."""
+    count, dim = raw.shape
+    path = write_dataset(small_table(rng, count=count, dim=dim), tmp_path / "ds")
+    (tmp_path / "ds" / "vectors.f32").write_bytes(raw.astype("<f4").tobytes())
+    return path
+
+
+def read_failing(path, error):
+    """Read a bad dataset, asserting ``error`` and that no warning fires first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as excinfo:
+            read_dataset(path)
+    assert excinfo.value.exit_code == 5
+    return str(excinfo.value)
+
+
+class TestStreamedIngest:
+    """Vectors stream in blocks of ``BLOCK_ROWS``; four rows here, so that
+    small files span several blocks."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dataset, "BLOCK_ROWS", 4)
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 8, 9, 11])
+    def test_bit_equal_to_normalizing_the_whole_file(self, rng, tmp_path, count):
+        path = write_raw(rng, tmp_path, rng.standard_normal((count, 5)))
+        blob = (tmp_path / "ds" / "vectors.f32").read_bytes()
+        whole = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(count, 5)
+        expected = whole / np.linalg.norm(whole, axis=1)[:, None]
+        assert read_dataset(path).vectors.tobytes() == expected.tobytes()
+
+    def test_zero_row_names_its_record(self, rng, tmp_path):
+        raw = rng.standard_normal((11, 5))
+        raw[6] = 0.0
+        message = read_failing(write_raw(rng, tmp_path, raw), MetadataError)
+        assert message == "dataset record 6 has a zero vector"
+
+    def test_later_non_finite_row_beats_earlier_zero_row(self, rng, tmp_path):
+        raw = rng.standard_normal((11, 5))
+        raw[1] = 0.0
+        raw[9, 2] = np.nan
+        message = read_failing(write_raw(rng, tmp_path, raw), NonUnitRow)
+        assert message == "dataset record 9 has a non-finite component"
+
+    def test_bad_metadata_beats_non_finite_vector(self, rng, tmp_path):
+        raw = rng.standard_normal((11, 5))
+        raw[0, 0] = np.inf
+        path = write_raw(rng, tmp_path, raw)
+        meta_path = tmp_path / "ds" / "meta.jsonl"
+        lines = meta_path.read_text().splitlines()
+        lines[5] = "{not json"
+        meta_path.write_text("\n".join(lines) + "\n")
+        message = read_failing(path, MetadataError)
+        assert message == "metadata line 5 is not valid JSON"
+
+    def test_file_shrinking_after_the_size_check_is_a_size_mismatch(
+        self, rng, tmp_path, monkeypatch
+    ):
+        path = write_raw(rng, tmp_path, rng.standard_normal((9, 5)))
+        vec_path = tmp_path / "ds" / "vectors.f32"
+        read_meta = dataset._read_meta
+
+        def shrink_then_read(*args):
+            vec_path.write_bytes(vec_path.read_bytes()[:-4])
+            return read_meta(*args)
+
+        monkeypatch.setattr(dataset, "_read_meta", shrink_then_read)
+        with pytest.raises(SizeMismatch, match="ended after 176 bytes, expected 180"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("count", [3, 4, 9])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_write_matches_one_contiguous_copy(self, rng, tmp_path, count, order):
+        table = small_table(rng, count=count, dim=5)
+        table = LabeledEmbeddingTable(
+            vectors=np.asarray(table.vectors, order=order),
+            ids=table.ids,
+            attributes=table.attributes,
+            classes=table.classes,
+            spaces=table.spaces,
+        )
+        write_dataset(table, tmp_path / "ds")
+        written = (tmp_path / "ds" / "vectors.f32").read_bytes()
+        assert written == np.ascontiguousarray(table.vectors, dtype="<f4").tobytes()
+
+
+def test_metadata_is_parsed_line_by_line(rng, tmp_path):
+    # Joined into one JSON array these lines parse as three records; on its
+    # own, each line is invalid JSON.
+    lines = [
+        '{"id": "a", "attributes": {"gender": "male"}, "x": [{}',
+        "{}]}",
+        '{"id": "b", "attributes": {"gender": "female"}}, '
+        '{"id": "c", "attributes": {"gender": "male"}}',
+    ]
+    assert len(json.loads("[" + ",".join(lines) + "]")) == 3
+    path = write_dataset(small_table(rng, count=3), tmp_path / "ds")
+    (tmp_path / "ds" / "meta.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(MetadataError, match="metadata line 0 is not valid JSON") as excinfo:
+        read_dataset(path)
+    assert excinfo.value.exit_code == 5
 
 
 class TestSplit:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bend import reference_index
 from bend.augment import GENDER, attribute_space
 from bend.dataset import LabeledEmbeddingTable, SynthCell, SynthSpec, synth_generate
 from bend.errors import ConfigError, EmptyGroup, UnknownLabel
@@ -71,6 +72,32 @@ class TestGroupMeansCache:
         means = index.group_means("gender")
         for value, idx in index.partition("gender").items():
             assert np.array_equal(means[value], table.vectors[idx].mean(axis=0))
+
+    @pytest.mark.parametrize("size", [1, 3, 4, 5, 11])
+    @pytest.mark.parametrize("quantized", [False, True], ids=["random", "quantized"])
+    def test_blocked_mean_is_bit_equal_to_one_mean(
+        self, rng, monkeypatch, size, quantized
+    ):
+        # Groups of 1, block - 1, block, block + 1 and several blocks.
+        monkeypatch.setattr(reference_index, "MEAN_BLOCK_ROWS", 4)
+        count = 2 * size + 3
+        if quantized:
+            # Few directions, so rows repeat exactly; -0.0 components keep
+            # the sign of zero under test too.
+            directions = np.array(
+                [[1.0, -1.0, -0.0, 2.0], [-0.0, 1.0, 1.0, -0.0], [-2.0, -0.0, 1.0, 1.0]]
+            )
+            rows = directions[rng.integers(0, len(directions), count)]
+        else:
+            rows = rng.standard_normal((count, 4))
+        labels = np.array(["female"] * count, dtype=object)
+        labels[rng.choice(count, size, replace=False)] = "male"
+        table = table_from_rows(rows, labels.tolist())
+        index = build_index(table)
+        means = index.group_means("gender")
+        for value, idx in index.partition("gender").items():
+            expected = table.vectors[idx].mean(axis=0)
+            assert means[value].tobytes() == expected.tobytes()
 
     def test_cached_means_are_read_only(self, four_record_index):
         means = four_record_index.group_means("gender")
