@@ -27,7 +27,7 @@ from .dataset import (
     write_query_rows,
 )
 from .equalize import MODES
-from .errors import BendError, ConfigError, MissingEndpoint, NonFiniteValue
+from .errors import BendError, ConfigError, DatasetIOError, MissingEndpoint, NonFiniteValue
 from .pipeline import QueryRow, RunConfig
 from .reference_index import build_index
 from .reporting import dumps
@@ -69,10 +69,17 @@ def _embed_endpoint(args, expected_dim: int) -> EmbeddingEndpoint | None:
     )
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DatasetIOError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = dumps(report)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(Path(out), text)
     else:
         sys.stdout.write(text)
 
@@ -177,10 +184,8 @@ def cmd_evaluate(args) -> int:
     )
     _emit(report, args.out)
     if args.out:
-        csv_path = Path(args.out).with_suffix(".csv")
-        csv_path.write_text(
-            "\n".join(pipeline.aggregate_csv_lines(report)) + "\n", encoding="utf-8"
-        )
+        csv_lines = pipeline.aggregate_csv_lines(report)
+        _write(Path(args.out).with_suffix(".csv"), "\n".join(csv_lines) + "\n")
     errors = [e for e in report["queries"] if "error" in e]
     if errors and len(errors) == len(report["queries"]):
         sys.stderr.write(f"error: every query failed; first: {errors[0]['error']}\n")

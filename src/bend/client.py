@@ -18,6 +18,7 @@ import numpy as np
 import requests
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     EmptyQuery,
     MalformedResponse,
@@ -35,6 +36,10 @@ class EmbeddingEndpoint:
     expected_dim: int
     timeout_ms: int = 5000
     token: str | None = None
+
+    def __post_init__(self):
+        if self.timeout_ms <= 0:
+            raise ConfigError("the embedding timeout must be positive")
 
     @property
     def timeout(self) -> float:

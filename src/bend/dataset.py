@@ -102,6 +102,17 @@ class LabeledEmbeddingTable:
         rank[np.argsort(np.array(self.ids), kind="stable")] = np.arange(self.count)
         return rank
 
+    @cached_property
+    def codes(self) -> dict[str, np.ndarray]:
+        """Each attribute's labels as positions in its declared ``space.values``:
+        the one label encoding every partition, count and distribution uses."""
+        codes = {}
+        for name, space in self.spaces.items():
+            position = {value: i for i, value in enumerate(space.values)}
+            codes[name] = np.array([position[label] for label in self.attributes[name]])
+            codes[name].flags.writeable = False
+        return codes
+
     def subset(self, indices: Sequence[int]) -> "LabeledEmbeddingTable":
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledEmbeddingTable(
@@ -127,6 +138,8 @@ class SplitSpec:
             raise ConfigError("reference_fraction must be strictly between 0 and 1")
         if self.fold_count < 1:
             raise ConfigError("fold_count must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 def _space_to_json(space: AttributeSpace) -> dict:
@@ -210,6 +223,8 @@ def _read_meta(
         lines = meta_path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise DatasetIOError(f"cannot read metadata file {meta_path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise MetadataError(f"metadata file {meta_path} is not UTF-8") from None
     lines = [line for line in lines if line.strip()]
     if len(lines) != count:
         raise MetadataError(f"metadata has {len(lines)} records, manifest says {count}")
@@ -306,11 +321,11 @@ def write_dataset(
     """Persist a table and return its manifest path; refuses to overwrite a
     non-empty directory without force."""
     out_dir = Path(out_dir)
-    if out_dir.exists() and any(out_dir.iterdir()) and not force:
-        raise DatasetIOError(
-            f"output directory {out_dir} exists and is not empty (use force)"
-        )
     try:
+        if out_dir.exists() and any(out_dir.iterdir()) and not force:
+            raise DatasetIOError(
+                f"output directory {out_dir} exists and is not empty (use force)"
+            )
         out_dir.mkdir(parents=True, exist_ok=True)
         with (out_dir / VECTORS_NAME).open("wb") as handle:
             for start in range(0, table.count, BLOCK_ROWS):
@@ -415,6 +430,8 @@ class SynthSpec:
             raise SynthSpecError("dim must be at least 2")
         if self.noise < 0:
             raise SynthSpecError("noise scale must be non-negative")
+        if self.seed < 0:
+            raise SynthSpecError("seed must be non-negative")
         if not self.cells:
             raise SynthSpecError("at least one cell is required")
         values = set(self.space.values)

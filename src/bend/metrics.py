@@ -7,7 +7,7 @@ that so the numbers stay interpretable.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .errors import (
     EmptyGroup,
     EmptyRetrieval,
     SupportViolation,
-    UnknownLabel,
 )
 from .vectors import as_vector, normalize
 
@@ -117,15 +116,9 @@ def worst_group_auc(groups: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> floa
     return worst
 
 
-def empirical_distribution(labels: Iterable[str], space) -> dict[str, float]:
-    """Per-value frequency of ``labels`` over the attribute space's values."""
-    counts = {value: 0 for value in space.values}
-    total = 0
-    for label in labels:
-        if label not in counts:
-            raise UnknownLabel(f"label {label!r} not in attribute {space.name!r}")
-        counts[label] += 1
-        total += 1
+def empirical_distribution(counts: Sequence[int], space) -> dict[str, float]:
+    """Per-value frequency from per-value ``counts`` in ``space.values`` order."""
+    total = int(sum(counts))
     if total == 0:
         raise EmptyRetrieval("cannot build a distribution from an empty retrieval")
-    return {value: counts[value] / total for value in space.values}
+    return {value: int(c) / total for value, c in zip(space.values, counts, strict=True)}

@@ -81,6 +81,8 @@ class RunConfig:
                 raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
         if self.fold_count < 1:
             raise ConfigError("fold_count must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.subset_by not in SUBSET_RANKINGS:
             raise ConfigError(f"subset_by must be one of {SUBSET_RANKINGS}")
         if self.generic_columns not in GENERIC_COLUMN_MODES:
@@ -158,6 +160,8 @@ def load_queries(path: str | Path) -> list[QueryRow]:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise DatasetIOError(f"cannot read queries file {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise MetadataError(f"queries file {path} is not UTF-8") from None
     rows = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines):
@@ -375,24 +379,21 @@ def _mode_entry(
 ) -> dict:
     # One score column serves every fold's retrieval and AUC.
     scores = target.vectors @ normalize(report.final)
-    target_labels = target.attributes[space.name]
+    codes = target.codes[space.name]
     folds_out = []
     kls, skews, aucs = [], [], []
     for fold_idx, (pool, fold_groups) in enumerate(pools):
         top = top_rows(target, scores, pool, cfg.k)
-        labels = [target_labels[row] for row in top.tolist()]
-        distribution = empirical_distribution(labels, space)
+        counts = np.bincount(codes[top], minlength=len(space.values))
+        distribution = empirical_distribution(counts, space)
         kl = kl_divergence(distribution, prior)
         skew = max_skew(distribution, prior)
         auc = _fold_auc(fold_groups, scores, positive)
-        counts = {v: 0 for v in space.values}
-        for label in labels:
-            counts[label] += 1
         entry = {
             "fold": fold_idx,
             "pool_size": pool.size,
-            "retrieved": len(labels),
-            "retrieved_counts": counts,
+            "retrieved": top.size,
+            "retrieved_counts": dict(zip(space.values, counts.tolist())),
             "kl": kl,
             "max_skew": skew,
             "worst_group_auc": auc,
@@ -439,16 +440,19 @@ def evaluate(
     folds = make_folds(target.count, cfg.fold_count, cfg.seed)
     # Each fold as sorted row indices: the retrieval pool that withholds it,
     # and its own rows per attribute value, scored for AUC.
-    target_labels = np.array(target.attributes[space.name])
+    codes = target.codes[space.name]
     pools = []
     for fold in map(np.sort, folds):
         pool = np.setdiff1d(np.arange(target.count), fold, assume_unique=True)
-        pools.append((pool, {v: fold[target_labels[fold] == v] for v in space.values}))
+        groups = {v: fold[codes[fold] == i] for i, v in enumerate(space.values)}
+        pools.append((pool, groups))
     classes = np.array(target.classes, dtype=object)
     if cfg.prior is not None:
         prior = validate_prior(cfg.prior, space)
     else:
-        prior = empirical_distribution(target.attributes[space.name], space)
+        prior = empirical_distribution(
+            np.bincount(codes, minlength=len(space.values)), space
+        )
 
     def work(row: QueryRow) -> dict:
         try:
@@ -600,19 +604,12 @@ def retrieval_report_json(
     warnings = []
     if k > table.count:
         warnings.append("k exceeds the target size; returned every record")
-    counts = {
-        name: {value: 0 for value in space.values}
-        for name, space in table.spaces.items()
-    }
-    for record in retrieved:
-        for name in table.spaces:
-            counts[name][record.labels[name]] += 1
-    distributions = {
-        name: empirical_distribution(
-            [r.labels[name] for r in retrieved], table.spaces[name]
-        )
-        for name in table.spaces
-    }
+    rows = [r.row for r in retrieved]
+    counts, distributions = {}, {}
+    for name, space in table.spaces.items():
+        tally = np.bincount(table.codes[name][rows], minlength=len(space.values))
+        counts[name] = dict(zip(space.values, tally.tolist()))
+        distributions[name] = empirical_distribution(tally, space)
     metrics = None
     if prior is not None and metric_space is not None:
         distribution = distributions[metric_space.name]
@@ -634,8 +631,8 @@ def retrieval_report_json(
             {
                 "id": r.id,
                 "similarity": r.similarity,
-                "labels": r.labels,
-                "class": r.class_label,
+                "labels": {name: table.attributes[name][r.row] for name in table.spaces},
+                "class": table.classes[r.row],
             }
             for r in retrieved
         ],

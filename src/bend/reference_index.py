@@ -8,6 +8,7 @@ break by ascending record id so runs are reproducible across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,31 +34,26 @@ class RelevantSubsets:
         return {value: len(ix) for value, ix in self.indices.items()}
 
 
-@dataclass(frozen=True)
-class Retrieved:
+class Retrieved(NamedTuple):
+    row: int
     id: str
     similarity: float
-    labels: dict[str, str]
-    class_label: str | None
 
 
 class ReferenceIndex:
-    """Immutable index: the table's unit rows plus per-attribute-value partitions."""
+    """Immutable index over a table's unit rows, with group means kept per attribute."""
 
     def __init__(self, table: LabeledEmbeddingTable):
         self.table = table
-        self.partitions: dict[str, dict[str, np.ndarray]] = {}
         self._means: dict[str, dict[str, Vector]] = {}
-        for name, space in table.spaces.items():
-            labels = np.array(table.attributes[name])
-            self.partitions[name] = {
-                value: np.flatnonzero(labels == value) for value in space.values
-            }
 
     def partition(self, attribute: str) -> dict[str, np.ndarray]:
-        if attribute not in self.partitions:
+        """Ascending row indices of every declared value, members or not."""
+        space = self.table.spaces.get(attribute)
+        if space is None:
             raise UnknownLabel(f"attribute {attribute!r} is not declared in the table")
-        return self.partitions[attribute]
+        codes = self.table.codes[attribute]
+        return {value: np.flatnonzero(codes == i) for i, value in enumerate(space.values)}
 
     def group_means(self, attribute: str) -> dict[str, Vector]:
         """Raw mean of the unit rows for every value with members.
@@ -125,9 +121,8 @@ def top_n_by_attribute(
     scores = rows @ normalize(query)
     indices: dict[str, tuple[int, ...]] = {}
     means: dict[str, Vector] = {}
-    for value in space.values:
-        members = partition.get(value)
-        if members is None or members.size == 0:
+    for value, members in partition.items():
+        if members.size == 0:
             raise EmptyGroup(f"attribute value {value!r} has no reference records")
         chosen = top_rows(index.table, scores, members, n)
         indices[value] = tuple(chosen.tolist())
@@ -145,12 +140,8 @@ def retrieve_top_k(table: LabeledEmbeddingTable, query, k: int) -> list[Retrieve
             f"query has dimension {query.shape[0]}, table {table.dim}"
         )
     similarities = table.vectors @ normalize(query)
+    rows = top_rows(table, similarities, np.arange(table.count), k)
     return [
-        Retrieved(
-            id=table.ids[row],
-            similarity=float(similarities[row]),
-            labels={name: table.attributes[name][row] for name in table.spaces},
-            class_label=table.classes[row],
-        )
-        for row in top_rows(table, similarities, np.arange(table.count), k).tolist()
+        Retrieved(row, table.ids[row], similarity)
+        for row, similarity in zip(rows.tolist(), similarities[rows].tolist())
     ]

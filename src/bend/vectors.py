@@ -57,22 +57,6 @@ def normalize(v) -> Vector:
     return arr / norm
 
 
-def cosine_similarity(u, v) -> float:
-    a = as_vector(u)
-    b = as_vector(v)
-    _same_dim(a, b)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na <= ZERO_NORM_EPS or nb <= ZERO_NORM_EPS:
-        raise ZeroVector("cosine similarity is undefined for zero vectors")
-    return float(np.clip((a @ b) / (na * nb), -1.0, 1.0))
-
-
-def cosine_distance(u, v) -> float:
-    """1 - cosine similarity: 0 for identical directions, 2 for antipodal."""
-    return 1.0 - cosine_similarity(u, v)
-
-
 def mean_embedding(vectors: Iterable) -> Vector:
     """Componentwise mean of a non-empty collection.
 

@@ -17,8 +17,9 @@ from bend.equalize import solve_binary, solve_general
 from bend.metrics import kl_divergence, max_skew, worst_group_auc
 from bend.reporting import dumps
 from bend.subspace import build_attribute_matrix, orthogonalize
-from bend.vectors import cosine_distance, normalize
+from bend.vectors import normalize
 
+from cosine import cosine_distance
 from experiment_setup import run_acceptance_experiment
 from numeric_oracle import solve_numeric_oracle
 from test_dataset import small_table

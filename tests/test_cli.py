@@ -425,3 +425,91 @@ class TestBoundaryErrors:
         assert proc.returncode == 5
         assert "MalformedResponse" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["debias", "retrieve", "evaluate"])
+    def test_out_into_missing_directory_exits_3(
+        self, ref_target, synth_dataset, tmp_path, command
+    ):
+        ref, target = ref_target
+        out = str(tmp_path / "missing" / "report.json")
+        vector = json.dumps([1.0] + [0.0] * 15)
+        args = {
+            "debias": ["--vector", vector, "--reference", str(ref),
+                       "--attribute", "gender", "--n", "20"],
+            "retrieve": ["--vector", vector, "--target", str(target), "--k", "5"],
+            "evaluate": [str(synth_dataset / QUERIES_NAME), "--reference", str(ref),
+                         "--target", str(target), "--attribute", "gender",
+                         "--n", "20", "--k", "20"],
+        }[command]
+        proc = run_module(command, *args, "--out", out)
+        assert proc.returncode == 3
+        assert "DatasetIOError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unwritable_evaluate_csv_exits_3(self, ref_target, synth_dataset, tmp_path):
+        ref, target = ref_target
+        (tmp_path / "report.csv").mkdir()
+        proc = run_module(
+            "evaluate", str(synth_dataset / QUERIES_NAME), "--reference", str(ref),
+            "--target", str(target), "--attribute", "gender", "--n", "20",
+            "--k", "20", "--out", str(tmp_path / "report.json"),
+        )
+        assert proc.returncode == 3
+        assert "DatasetIOError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_synth_into_regular_file_exits_3(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(synth_spec_body()))
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        proc = run_module("synth", str(spec), str(out))
+        assert proc.returncode == 3
+        assert "DatasetIOError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("where", ["meta", "queries"])
+    def test_non_utf8_text_exits_5(self, ref_target, synth_dataset, tmp_path, where):
+        ref, target = ref_target
+        queries = synth_dataset / QUERIES_NAME
+        if where == "meta":
+            meta = target.parent / "meta.jsonl"
+            meta.write_bytes(meta.read_bytes().replace(b'"id": "', b'"id": "\xff', 1))
+        else:
+            queries = tmp_path / "q.jsonl"
+            queries.write_bytes(b'{"id": "q\xff", "vector": [1.0, 0.0]}\n')
+        proc = run_module(
+            "evaluate", str(queries), "--reference", str(ref),
+            "--target", str(target), "--attribute", "gender",
+        )
+        assert proc.returncode == 5
+        assert "MetadataError" in proc.stderr and "UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_zero_embed_timeout_exits_2(self, ref_target):
+        _, target = ref_target
+        proc = run_module(
+            "retrieve", "--text", "a photo of a welder", "--target", str(target),
+            "--embed-endpoint", "http://127.0.0.1:9/embed", "--embed-timeout-ms", "0",
+        )
+        assert proc.returncode == 2
+        assert "ConfigError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_negative_evaluate_seed_exits_2(self, ref_target, synth_dataset):
+        ref, target = ref_target
+        proc = run_module(
+            "evaluate", str(synth_dataset / QUERIES_NAME), "--reference", str(ref),
+            "--target", str(target), "--attribute", "gender", "--seed", "-1",
+        )
+        assert proc.returncode == 2
+        assert "ConfigError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_negative_synth_seed_exits_2(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**synth_spec_body(), "seed": -1}))
+        proc = run_module("synth", str(spec), str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "SynthSpecError" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -360,6 +360,10 @@ class TestSplit:
         with pytest.raises(ConfigError):
             SplitSpec(reference_fraction=1.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            SplitSpec(seed=-1)
+
     def test_make_folds_partition(self):
         folds = make_folds(23, 5, seed=1)
         flat = sorted(i for fold in folds for i in fold)
@@ -377,7 +381,8 @@ class TestSynthGenerate:
     def test_counts_and_labels(self):
         table = synth_generate(synth_spec())
         assert table.count == 80
-        dist = empirical_distribution(table.attributes["gender"], GENDER)
+        labels = table.attributes["gender"]
+        dist = empirical_distribution([labels.count(v) for v in GENDER.values], GENDER)
         assert dist == {"male": 0.5, "female": 0.5}
         assert set(table.classes) == {"c0"}
 
@@ -412,8 +417,8 @@ class TestSynthGenerate:
         table = synth_generate(spec)
         query = np.array(synth_query_rows(spec)[0]["vector"])
         retrieved = retrieve_top_k(table, query, 500)
-        labels = [r.labels["gender"] for r in retrieved]
-        dist = empirical_distribution(labels, GENDER)
+        labels = [table.attributes["gender"][r.row] for r in retrieved]
+        dist = empirical_distribution([labels.count(v) for v in GENDER.values], GENDER)
         assert dist["male"] > 0.9
 
     def test_bias_monotonically_raises_max_skew(self):
@@ -431,8 +436,9 @@ class TestSynthGenerate:
             table = synth_generate(spec)
             query = np.array(synth_query_rows(spec)[0]["vector"])
             retrieved = retrieve_top_k(table, query, 500)
+            labels = [table.attributes["gender"][r.row] for r in retrieved]
             dist = empirical_distribution(
-                [r.labels["gender"] for r in retrieved], GENDER
+                [labels.count(v) for v in GENDER.values], GENDER
             )
             skews.append(max_skew(dist, {"male": 0.5, "female": 0.5}))
         assert skews[0] < skews[1] < skews[2]

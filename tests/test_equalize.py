@@ -12,8 +12,9 @@ from bend.errors import (
     QueryInsideConstraintSpan,
     ZeroResult,
 )
-from bend.vectors import cosine_distance, normalize
+from bend.vectors import normalize
 
+from cosine import cosine_distance
 from numeric_oracle import solve_numeric_oracle
 
 

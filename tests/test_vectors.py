@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from bend.errors import DimensionMismatch, EmptySet, ZeroVector
 from bend.vectors import (
-    cosine_distance,
     gram_schmidt,
     mean_embedding,
     normalize,
     project_out,
 )
+from cosine import cosine_distance
 
 finite_coords = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
