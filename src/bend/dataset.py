@@ -262,9 +262,9 @@ def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DatasetIOError(f"manifest not found: {manifest_path}") from None
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise DatasetIOError(f"cannot read manifest {manifest_path}: {exc}") from None
+    except ValueError as exc:
         raise ManifestError(f"unreadable manifest {manifest_path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise ManifestError("manifest must be a JSON object")
@@ -483,9 +483,9 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
     path = Path(path)
     try:
         body = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DatasetIOError(f"spec file not found: {path}") from None
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise DatasetIOError(f"cannot read spec file {path}: {exc}") from None
+    except ValueError as exc:
         raise SynthSpecError(f"unreadable spec {path}: {exc}") from None
     if not isinstance(body, dict):
         raise SynthSpecError("spec must be a JSON object")

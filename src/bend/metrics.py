@@ -83,14 +83,12 @@ def _group_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     n_neg = int(positive.shape[0] - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise DegenerateGroup("AUC needs at least one positive and one negative")
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    # 1-based midrank of every tie run [start, end), spread back to its members
-    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    ends = np.r_[starts[1:], sorted_scores.shape[0]]
-    ranks = np.empty(scores.shape[0], dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
-    u_stat = float(ranks[positive].sum()) - n_pos * (n_pos + 1) / 2.0
+    # A score whose tie run spans sorted positions [left, right) has the
+    # 1-based midrank (left + 1 + right) / 2; summed as integers, it is exact.
+    ordered = np.sort(scores)
+    hits = scores[positive]
+    edges = np.searchsorted(ordered, hits, "left") + np.searchsorted(ordered, hits, "right")
+    u_stat = (int(edges.sum()) + n_pos) / 2.0 - n_pos * (n_pos + 1) / 2.0
     return u_stat / (n_pos * n_neg)
 
 

@@ -368,9 +368,31 @@ def _fold_auc(
         return None
 
 
+def _fold_tops(
+    target: LabeledEmbeddingTable, scores: np.ndarray, fold_of: np.ndarray,
+    fold_count: int, k: int,
+) -> list[np.ndarray]:
+    """Every fold's ``top_rows`` over the rows outside it, read off one ranking.
+
+    Rows past the first ``limit`` of the ranking sort after all of them, so a
+    fold with k pool rows among them has its exact top-k; ``limit`` doubles
+    until every fold has, or the ranking covers the table.
+    """
+    rows = np.arange(scores.shape[0])
+    limit = 2 * k
+    while True:
+        ranked = top_rows(target, scores, rows, limit)
+        owner = fold_of[ranked]
+        tops = [ranked[owner != f][:k] for f in range(fold_count)]
+        if limit >= rows.size or all(top.size == k for top in tops):
+            return tops
+        limit *= 2
+
+
 def _mode_entry(
     report: DebiasReport,
-    pools: Sequence[tuple[np.ndarray, dict[str, np.ndarray]]],
+    held_out: Sequence[tuple[int, dict[str, np.ndarray]]],
+    fold_of: np.ndarray,
     target: LabeledEmbeddingTable,
     space: AttributeSpace,
     prior: dict[str, float],
@@ -380,10 +402,10 @@ def _mode_entry(
     # One score column serves every fold's retrieval and AUC.
     scores = target.vectors @ normalize(report.final)
     codes = target.codes[space.name]
+    tops = _fold_tops(target, scores, fold_of, len(held_out), cfg.k)
     folds_out = []
     kls, skews, aucs = [], [], []
-    for fold_idx, (pool, fold_groups) in enumerate(pools):
-        top = top_rows(target, scores, pool, cfg.k)
+    for fold_idx, ((pool_size, fold_groups), top) in enumerate(zip(held_out, tops)):
         counts = np.bincount(codes[top], minlength=len(space.values))
         distribution = empirical_distribution(counts, space)
         kl = kl_divergence(distribution, prior)
@@ -391,14 +413,14 @@ def _mode_entry(
         auc = _fold_auc(fold_groups, scores, positive)
         entry = {
             "fold": fold_idx,
-            "pool_size": pool.size,
+            "pool_size": pool_size,
             "retrieved": top.size,
             "retrieved_counts": dict(zip(space.values, counts.tolist())),
             "kl": kl,
             "max_skew": skew,
             "worst_group_auc": auc,
         }
-        if cfg.k > pool.size:
+        if cfg.k > pool_size:
             entry["warning"] = "k exceeds pool size; retrieved the whole pool"
         folds_out.append(entry)
         kls.append(kl)
@@ -438,14 +460,15 @@ def evaluate(
     space = resolve_space(reference, cfg.attribute, target)
     index = build_index(reference)
     folds = make_folds(target.count, cfg.fold_count, cfg.seed)
-    # Each fold as sorted row indices: the retrieval pool that withholds it,
-    # and its own rows per attribute value, scored for AUC.
+    # Each fold's row -> fold entries in ``fold_of``, the size of the pool that
+    # withholds it, and its own sorted rows per attribute value, scored for AUC.
     codes = target.codes[space.name]
-    pools = []
-    for fold in map(np.sort, folds):
-        pool = np.setdiff1d(np.arange(target.count), fold, assume_unique=True)
+    fold_of = np.empty(target.count, dtype=np.intp)
+    held_out = []
+    for f, fold in enumerate(map(np.sort, folds)):
+        fold_of[fold] = f
         groups = {v: fold[codes[fold] == i] for i, v in enumerate(space.values)}
-        pools.append((pool, groups))
+        held_out.append((target.count - fold.size, groups))
     classes = np.array(target.classes, dtype=object)
     if cfg.prior is not None:
         prior = validate_prior(cfg.prior, space)
@@ -467,7 +490,8 @@ def evaluate(
                 "n_used": subsets.n_used if subsets is not None else None,
                 "modes": {
                     mode: _mode_entry(
-                        reports[mode], pools, target, space, prior, cfg, positive
+                        reports[mode], held_out, fold_of, target, space, prior,
+                        cfg, positive,
                     )
                     for mode in cfg.modes
                 },

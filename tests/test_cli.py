@@ -468,6 +468,21 @@ class TestBoundaryErrors:
         assert "DatasetIOError" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_directory_as_target_manifest_exits_3(self, tmp_path):
+        proc = run_module(
+            "retrieve", "--vector", json.dumps([1.0] + [0.0] * 15),
+            "--target", str(tmp_path),
+        )
+        assert proc.returncode == 3
+        assert "DatasetIOError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_directory_as_synth_spec_exits_3(self, tmp_path):
+        proc = run_module("synth", str(tmp_path), str(tmp_path / "out"))
+        assert proc.returncode == 3
+        assert "DatasetIOError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("where", ["meta", "queries"])
     def test_non_utf8_text_exits_5(self, ref_target, synth_dataset, tmp_path, where):
         ref, target = ref_target
