@@ -2,9 +2,10 @@
 """Run the seeded synthetic retrieval-bias experiment end to end.
 
 Generates a biased dataset, splits it 50/50 into reference and target,
-debiases the aligned queries under every ablation mode, and prints the
+writes both and the aligned queries to --out-dir, debiases the queries read
+back from those files under every ablation mode, and prints the
 fold-aggregated KL / MaxSkew / worst-group AUC table. JSON and CSV reports
-land in --out-dir.
+land in --out-dir; `bend evaluate` on the written files reproduces them.
 
     python scripts/run_synthetic_eval.py --out-dir runs/demo
 """
@@ -24,13 +25,14 @@ from bend.dataset import (
     SynthCell,
     SynthQuerySpec,
     SynthSpec,
+    read_dataset,
     split_reference_target,
     synth_generate,
     synth_query_rows,
     write_dataset,
     write_query_rows,
 )
-from bend.pipeline import RunConfig, aggregate_csv_lines, evaluate, parse_query_row
+from bend.pipeline import RunConfig, aggregate_csv_lines, evaluate, load_queries
 from bend.reporting import dumps
 
 
@@ -83,9 +85,11 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_dataset(reference, out_dir / "reference", force=True)
     write_dataset(target, out_dir / "target", force=True)
-    rows = synth_query_rows(spec)
-    write_query_rows(rows, out_dir / QUERIES_NAME)
-    queries = [parse_query_row(r) for r in rows]
+    write_query_rows(synth_query_rows(spec), out_dir / QUERIES_NAME)
+    # Evaluate what was written: the float32 files, not the float64 tables.
+    reference = read_dataset(out_dir / "reference" / MANIFEST_NAME)
+    target = read_dataset(out_dir / "target" / MANIFEST_NAME)
+    queries = load_queries(out_dir / QUERIES_NAME)
 
     cfg = RunConfig(
         attribute="gender",

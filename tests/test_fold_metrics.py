@@ -1,19 +1,35 @@
-"""The fold kernels of ``evaluate`` in isolation, and whole-run independence.
+"""The fold kernels of ``evaluate`` in isolation, and whole-run properties.
 
 ``_fold_tops`` reads every fold's top-k off one ranking of a score column and
 must equal a separate ``top_rows`` over each fold's own pool; ``_group_auc``
-ranks by searching the sorted scores and must equal counting pairs. An
-``evaluate`` entry must not depend on which other queries or modes ran.
+ranks by searching the sorted scores and must equal counting pairs.
+``_score_columns`` scores finals with one GEMM and must order every column as
+its GEMV does. An ``evaluate`` entry must not depend on which other queries or
+modes ran, and its counts and metrics must survive a rotation of every vector.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bend import pipeline
+from bend.augment import GENDER
+from bend.dataset import LabeledEmbeddingTable
 from bend.equalize import MODES
 from bend.metrics import _group_auc
-from bend.pipeline import RunConfig, _fold_tops, evaluate, parse_query_row
+from bend.pipeline import (
+    SCORE_BLOCK_COLUMNS,
+    RunConfig,
+    _fold_tops,
+    _order_certified,
+    _score_columns,
+    _score_error_bound,
+    evaluate,
+    parse_query_row,
+)
 from bend.reference_index import top_rows
 from bend.reporting import dumps
 from bend.vectors import normalize
@@ -121,3 +137,214 @@ def test_evaluate_entry_is_batch_and_mode_set_independent(
             continue
         restricted = {**entry, "modes": {m: entry["modes"][m] for m in modes}}
         assert dumps(narrow) == dumps(restricted)
+
+
+def unit_rows(rng, count, dim, spread=0):
+    """Seeded random unit rows; components vary in scale by up to 10**spread."""
+    scales = 10.0 ** -rng.integers(0, spread + 1, (count, dim))
+    rows = rng.standard_normal((count, dim)) * scales
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@settings(max_examples=60)
+@given(tables(), st.lists(grid_vectors, min_size=1, max_size=SCORE_BLOCK_COLUMNS), st.data())
+def test_score_columns_order_rows_as_the_gemv_on_tied_tables(table, queries, data):
+    finals = [normalize(q) for q in queries]
+    fold_count = data.draw(st.integers(1, 4))
+    fold_of = np.array(
+        data.draw(st.lists(st.integers(0, fold_count - 1), min_size=table.count,
+                           max_size=table.count))
+    )
+    positive = np.array([c == CLASSES[0] for c in table.classes])
+    codes = table.codes["gender"]
+    rows = np.arange(table.count)
+    columns, _ = _score_columns(table.vectors, finals)
+    assert len(columns) == len(finals)
+    for final, column in zip(finals, columns):
+        gemv = table.vectors @ final
+        assert (top_rows(table, column, rows, table.count).tolist()
+                == top_rows(table, gemv, rows, table.count).tolist())
+        for f in range(fold_count):
+            for i in range(len(GENDER.values)):
+                group = rows[(fold_of == f) & (codes == i)]
+                if 0 < positive[group].sum() < group.size:
+                    assert (_group_auc(column[group], positive[group])
+                            == _group_auc(gemv[group], positive[group]))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 64), st.integers(1, 60), st.integers(1, SCORE_BLOCK_COLUMNS),
+       st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_gemm_and_gemv_scores_differ_by_at_most_the_error_bound(
+    dim, count, width, spread, seed
+):
+    rng = np.random.default_rng(seed)
+    vectors = unit_rows(rng, count, dim, spread)
+    finals = unit_rows(rng, width, dim, spread)
+    bound = _score_error_bound(dim)
+    for final, column in zip(finals, finals @ vectors.T):
+        assert np.all(np.abs(column - vectors @ final) <= bound)
+
+
+def test_a_gap_of_twice_the_error_bound_is_not_certified():
+    # At exactly twice the bound, both scores can move to one value: a tie.
+    gap = 2 * _score_error_bound(8)
+    assert not _order_certified(np.array([gap, 0.0, 1.0]), 8)
+    assert _order_certified(np.array([np.nextafter(gap, 1.0), 0.0, 1.0]), 8)
+    assert not _order_certified(np.array([0.25, 0.5, 0.25]), 8)
+
+
+def test_score_columns_keep_every_gemm_column_of_a_continuous_table():
+    rng = np.random.default_rng(7)
+    vectors = unit_rows(rng, 2000, 64)
+    finals = list(unit_rows(rng, SCORE_BLOCK_COLUMNS, 64))
+    block = np.stack(finals) @ vectors.T
+    assert all(_order_certified(column, 64) for column in block)
+    columns, rescored = _score_columns(vectors, finals)
+    assert rescored == 0
+    for column, gemm in zip(columns, block):
+        assert np.array_equal(column, gemm)
+
+
+def continuous_table(rng, count, dim, prefix):
+    return LabeledEmbeddingTable(
+        vectors=unit_rows(rng, count, dim),
+        ids=tuple(f"{prefix}{i}" for i in range(count)),
+        attributes={"gender": tuple(rng.choice(GENDER.values, count).tolist())},
+        classes=tuple(rng.choice(CLASSES, count).tolist()),
+        spaces={"gender": GENDER},
+    )
+
+
+def block_queries(rng, dim):
+    """Six queries, the third of the wrong width: 24 finals, two score blocks."""
+    return [
+        parse_query_row({
+            "id": f"q{i}",
+            "class": CLASSES[i % 2],
+            "vector": rng.standard_normal(dim + (i == 2)).tolist(),
+        })
+        for i in range(6)
+    ]
+
+
+def assert_entries_stand_alone(queries, reference, target, cfg):
+    together = evaluate(queries, reference, target, cfg)["queries"]
+    assert "error" in together[2] and "error" not in together[4]
+    for query, entry in zip(queries, together):
+        alone = evaluate([query], reference, target, cfg)["queries"]
+        assert dumps(alone) == dumps([entry])
+
+
+def count_score_blocks(monkeypatch):
+    """Record (finals, rescored) for every block ``evaluate`` scores by GEMM."""
+    calls = []
+
+    def counted(vectors, finals):
+        columns, rescored = _score_columns(vectors, finals)
+        calls.append((len(finals), rescored))
+        return columns, rescored
+
+    monkeypatch.setattr(pipeline, "_score_columns", counted)
+    return calls
+
+
+def test_evaluate_entries_do_not_depend_on_their_score_block():
+    rng = np.random.default_rng(11)
+    reference = continuous_table(rng, 60, 8, "ref")
+    target = continuous_table(rng, 70, 8, "tgt")
+    queries = block_queries(rng, 8)
+    assert len(queries) * len(MODES) > SCORE_BLOCK_COLUMNS
+    cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
+    assert_entries_stand_alone(queries, reference, target, cfg)
+
+
+def test_a_block_of_failed_queries_keeps_the_gemm(monkeypatch):
+    rng = np.random.default_rng(13)
+    reference = continuous_table(rng, 60, 8, "ref")
+    target = continuous_table(rng, 70, 8, "tgt")
+    queries = [
+        parse_query_row({"id": f"q{i}", "vector": rng.standard_normal(dim).tolist()})
+        for i, dim in enumerate([9, 9, 9, 9, 8, 8])
+    ]
+    calls = count_score_blocks(monkeypatch)
+    cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
+    entries = evaluate(queries, reference, target, cfg)["queries"]
+    assert ["error" in entry for entry in entries] == [True] * 4 + [False] * 2
+    assert calls == [(0, 0), (8, 0)]
+
+
+def test_a_target_of_duplicate_rows_is_scored_by_the_gemv_after_one_block(
+    monkeypatch,
+):
+    rng = np.random.default_rng(12)
+    reference = continuous_table(rng, 60, 8, "ref")
+    half = continuous_table(rng, 35, 8, "tgt")
+    target = dataclasses.replace(
+        half,
+        vectors=np.concatenate([half.vectors, half.vectors]),
+        ids=half.ids + tuple(f"dup-{i}" for i in half.ids),
+        attributes={"gender": half.attributes["gender"] * 2},
+        classes=half.classes * 2,
+    )
+    calls = count_score_blocks(monkeypatch)
+    cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
+    queries = block_queries(rng, 8)
+    evaluate(queries, reference, target, cfg)
+    # Every duplicate pair ties, so the first block rescores all 12 of its
+    # finals (one of its queries failed) and the second block skips the GEMM.
+    assert calls == [(12, 12)]
+    assert_entries_stand_alone(queries, reference, target, cfg)
+
+
+def rotated(query, rotation):
+    def turn(vector):
+        return (rotation @ np.asarray(vector)).tolist()
+
+    return {
+        **query,
+        "vector": turn(query["vector"]),
+        "augmented": {value: turn(v) for value, v in query["augmented"].items()},
+        "generic": {value: turn(v) for value, v in query["generic"].items()},
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_evaluate_metrics_are_rotation_invariant(seed):
+    rng = np.random.default_rng(seed)
+    dim = 12
+    reference = continuous_table(rng, 80, dim, "ref")
+    target = continuous_table(rng, 90, dim, "tgt")
+    queries = [
+        {
+            "id": f"q{i}",
+            "class": CLASSES[i % 2],
+            "vector": rng.standard_normal(dim).tolist(),
+            "augmented": {v: rng.standard_normal(dim).tolist() for v in GENDER.values},
+            "generic": {v: rng.standard_normal(dim).tolist() for v in GENDER.values},
+        }
+        for i in range(2)
+    ]
+    rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    cfg = RunConfig(attribute="gender", n=10, k=20, seed=seed % 4, fold_count=3)
+    plain = evaluate([parse_query_row(q) for q in queries], reference, target, cfg)
+    spun = evaluate(
+        [parse_query_row(rotated(q, rotation)) for q in queries],
+        *(dataclasses.replace(t, vectors=t.vectors @ rotation.T) for t in (reference, target)),
+        cfg,
+    )
+    for want, got in zip(plain["queries"], spun["queries"]):
+        assert "error" not in want and "error" not in got
+        assert got["n_used"] == want["n_used"]
+        for mode in MODES:
+            want_mode, got_mode = want["modes"][mode], got["modes"][mode]
+            assert got_mode["distance_gap"] == pytest.approx(
+                want_mode["distance_gap"], abs=1e-12
+            )
+            for want_fold, got_fold in zip(want_mode["folds"], got_mode["folds"]):
+                for key in ("retrieved_counts", "kl", "max_skew"):
+                    assert got_fold[key] == want_fold[key]
+                assert got_fold["worst_group_auc"] == pytest.approx(
+                    want_fold["worst_group_auc"], abs=1e-12
+                )
