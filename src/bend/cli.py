@@ -12,8 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import pipeline
 from .client import EmbeddingEndpoint, embed_text
 from .dataset import (
@@ -31,23 +29,22 @@ from .errors import BendError, ConfigError, DatasetIOError, MissingEndpoint, Non
 from .pipeline import QueryRow, RunConfig
 from .reference_index import build_index
 from .reporting import dumps
+from .subspace import GENERIC_COLUMN_MODES
 from .vectors import number_vector
 
 EMBED_ENDPOINT_ENV = "BEND_EMBED_ENDPOINT"
 
 
 def _parse_vector(raw: str):
+    """``--vector``: an inline JSON array, ``@FILE`` or a path. Either way a
+    typo is a usage error, so an unreadable path exits 2 like bad JSON."""
     try:
-        if raw.lstrip().startswith("["):
-            vector = number_vector(json.loads(raw))
-        else:
-            path = Path(raw[1:] if raw.startswith("@") else raw)
-            vector = number_vector(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError, TypeError, OverflowError) as exc:
+        if not raw.lstrip().startswith("["):
+            raw = Path(raw.removeprefix("@")).read_text(encoding="utf-8")
+        values = json.loads(raw)
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot parse query vector: {exc}") from None
-    if not np.all(np.isfinite(vector)):
-        raise NonFiniteValue("query vector holds a non-finite value")
-    return vector
+    return number_vector(values, "query vector", ConfigError, NonFiniteValue)
 
 
 def _parse_modes(raw: str) -> tuple[str, ...]:
@@ -245,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_debias.add_argument("--subset-by", default="step1",
                           choices=pipeline.SUBSET_RANKINGS)
     p_debias.add_argument("--generic-columns", default="diff",
-                          choices=("diff", "raw"))
+                          choices=GENERIC_COLUMN_MODES)
     p_debias.add_argument("--out", default=None)
     _add_endpoint_arguments(p_debias)
     p_debias.set_defaults(handler=cmd_debias)
@@ -274,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--subset-by", default="step1",
                         choices=pipeline.SUBSET_RANKINGS)
     p_eval.add_argument("--generic-columns", default="diff",
-                        choices=("diff", "raw"))
+                        choices=GENERIC_COLUMN_MODES)
     p_eval.add_argument("--prior", default=None)
     p_eval.add_argument("--out", default=None)
     _add_endpoint_arguments(p_eval)

@@ -83,7 +83,7 @@ def post_json(
         raise ProviderUnavailable(f"service unreachable: {last_error}")
     try:
         body = response.json()
-    except ValueError:
+    except (ValueError, RecursionError):
         raise MalformedResponse(f"{url} returned a non-JSON body") from None
     if not isinstance(body, dict):
         raise MalformedResponse(f"{url} returned JSON that is not an object")
@@ -110,17 +110,12 @@ def embed_text(texts: Sequence[str], endpoint: EmbeddingEndpoint) -> list[Vector
         )
     out = []
     for i, row in enumerate(rows):
-        try:
-            arr = number_vector(row)
-        except (TypeError, ValueError, OverflowError):
-            raise MalformedResponse(f"embedding {i} is not a list of numbers") from None
+        arr = number_vector(row, f"embedding {i}", MalformedResponse, NonFiniteValue)
         if arr.shape[0] != endpoint.expected_dim:
             raise DimensionMismatch(
                 f"embedding {i} has dimension {arr.shape}, expected "
                 f"({endpoint.expected_dim},)"
             )
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValue(f"embedding {i} contains non-finite values")
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(arr))
         if not ZERO_NORM_EPS < norm < np.inf:

@@ -10,16 +10,18 @@ is a plain dot product everywhere downstream.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .augment import AttributeSpace, attribute_space
 from .errors import (
+    BendError,
     ConfigError,
     DatasetIOError,
     EmptyTable,
@@ -31,7 +33,7 @@ from .errors import (
     TooSmall,
     UnknownLabel,
 )
-from .vectors import ZERO_NORM_EPS, gram_schmidt
+from .vectors import ZERO_NORM_EPS, gram_schmidt, is_number
 
 DTYPE = "f32le"
 MANIFEST_NAME = "manifest.json"
@@ -211,34 +213,69 @@ def _read_vectors(handle: BinaryIO, path: Path, count: int, dim: int) -> np.ndar
     return table
 
 
+def _read_text(path: Path, what: str, invalid: type[BendError]) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DatasetIOError(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise invalid(f"{what} {path} is not UTF-8") from None
+
+
+def read_json(path: Path, what: str, invalid: type[BendError]):
+    """The JSON document in ``path``. An unreadable file raises ``DatasetIOError``;
+    text that is not UTF-8 or not JSON (or nests too deep) raises ``invalid``."""
+    text = _read_text(path, what, invalid)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise invalid(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def read_json_lines(path: Path, what: str) -> tuple[int, Iterator[tuple[int, dict]]]:
+    """The count of non-blank lines in a JSON-lines file, and a generator of
+    ``(0-based line number, object)`` over them. Each line is parsed on its own
+    when drawn and then dropped, so no record outlives its use. An unreadable
+    file raises ``DatasetIOError``; bad UTF-8, JSON or objects ``MetadataError``."""
+    lines = _read_text(path, f"{what} file", MetadataError).splitlines()
+    return sum(1 for line in lines if line.strip()), _json_objects(lines, what)
+
+
+def _json_objects(lines: list[str], what: str) -> Iterator[tuple[int, dict]]:
+    lines.reverse()  # popped in file order, so each line is freed once parsed
+    for lineno in range(len(lines)):
+        line = lines.pop()
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError):
+            raise MetadataError(f"{what} line {lineno} is not valid JSON") from None
+        if not isinstance(record, dict):
+            raise MetadataError(f"{what} line {lineno} is not a JSON object")
+        yield lineno, record
+
+
+def _json_int(value, what: str, invalid: type[BendError]) -> int:
+    """``value`` if it is a JSON number with no fraction; ``int()`` alone would
+    read ``"3"`` and ``true`` as counts and cut ``3.9`` to 3."""
+    if is_number(value) and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    raise invalid(f"{what} must be an integer, got {value!r}")
+
+
 def _read_meta(
     meta_path: Path, count: int, spaces: dict[str, AttributeSpace]
 ) -> tuple[list[str], list[str | None], dict[str, list[str]]]:
-    """Parse ``meta.jsonl`` line by line into ids, classes and labels.
-
-    Each line is its own JSON document: joining lines into one array would
-    accept a record split across lines, or two records on one line.
-    """
-    try:
-        lines = meta_path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DatasetIOError(f"cannot read metadata file {meta_path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise MetadataError(f"metadata file {meta_path} is not UTF-8") from None
-    lines = [line for line in lines if line.strip()]
-    if len(lines) != count:
-        raise MetadataError(f"metadata has {len(lines)} records, manifest says {count}")
+    """Parse ``meta.jsonl`` into ids, classes and labels, counting records first."""
+    found, records = read_json_lines(meta_path, "metadata")
+    if found != count:
+        raise MetadataError(f"metadata has {found} records, manifest says {count}")
 
     ids: list[str] = []
     classes: list[str | None] = []
     labels: dict[str, list[str]] = {name: [] for name in spaces}
-    for lineno, line in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except ValueError:
-            raise MetadataError(f"metadata line {lineno} is not valid JSON") from None
-        if not isinstance(record, dict):
-            raise MetadataError(f"metadata line {lineno} is not a JSON object")
+    for lineno, record in records:
         record_id = record.get("id")
         if not isinstance(record_id, str) or not record_id:
             raise MetadataError(f"metadata line {lineno} is missing a string 'id'")
@@ -260,23 +297,18 @@ def _read_meta(
 def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
     """Load a dataset directory into a validated, normalized table."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DatasetIOError(f"cannot read manifest {manifest_path}: {exc}") from None
-    except ValueError as exc:
-        raise ManifestError(f"unreadable manifest {manifest_path}: {exc}") from None
+    manifest = read_json(manifest_path, "manifest", ManifestError)
     if not isinstance(manifest, dict):
         raise ManifestError("manifest must be a JSON object")
     try:
-        dim = int(manifest["dim"])
-        count = int(manifest["count"])
+        dim = _json_int(manifest["dim"], "manifest 'dim'", ManifestError)
+        count = _json_int(manifest["count"], "manifest 'count'", ManifestError)
         dtype = manifest["dtype"]
         vectors_file = manifest["vectors_file"]
         meta_file = manifest["meta_file"]
         attr_decls = manifest["attributes"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ManifestError(f"manifest missing or malformed field: {exc}") from None
+    except KeyError as exc:
+        raise ManifestError(f"manifest missing field: {exc}") from None
     if not isinstance(attr_decls, list):
         raise ManifestError("manifest 'attributes' must be a list of declarations")
     if dtype != DTYPE:
@@ -480,13 +512,7 @@ class SynthSpec:
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
     """Parse a generator spec JSON file."""
-    path = Path(path)
-    try:
-        body = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DatasetIOError(f"cannot read spec file {path}: {exc}") from None
-    except ValueError as exc:
-        raise SynthSpecError(f"unreadable spec {path}: {exc}") from None
+    body = read_json(Path(path), "spec file", SynthSpecError)
     if not isinstance(body, dict):
         raise SynthSpecError("spec must be a JSON object")
     try:
@@ -501,8 +527,8 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
             SynthCell(
                 class_name=str(cell["class"]),
                 value=str(cell["value"]),
-                bias=float(cell["bias"]),
-                count=int(cell["count"]),
+                bias=_spec_number(cell["bias"], "cell 'bias'"),
+                count=_json_int(cell["count"], "spec cell 'count'", SynthSpecError),
             )
             for cell in body["cells"]
         )
@@ -511,21 +537,28 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
                 query_id=str(q["id"]),
                 class_name=str(q["class"]),
                 align_value=str(q["align"]),
-                scale=float(q.get("scale", 1.0)),
-                aug_noise=float(q.get("aug_noise", 0.0)),
+                scale=_spec_number(q.get("scale", 1.0), "query 'scale'"),
+                aug_noise=_spec_number(q.get("aug_noise", 0.0), "query 'aug_noise'"),
             )
             for q in body.get("queries", [])
         )
         return SynthSpec(
-            dim=int(body["dim"]),
-            seed=int(body["seed"]),
-            noise=float(body["noise"]),
+            dim=_json_int(body["dim"], "spec 'dim'", SynthSpecError),
+            seed=_json_int(body["seed"], "spec 'seed'", SynthSpecError),
+            noise=_spec_number(body["noise"], "'noise'"),
             space=space,
             cells=cells,
             queries=queries,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SynthSpecError(f"malformed spec field: {exc}") from None
+
+
+def _spec_number(value, what: str) -> float:
+    # float() alone reads "0.1" and true, and json.loads reads NaN and Infinity.
+    if is_number(value) and math.isfinite(value):
+        return float(value)
+    raise SynthSpecError(f"spec {what} must be a finite number, got {value!r}")
 
 
 def _synth_directions(spec: SynthSpec) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:

@@ -9,7 +9,6 @@ Fold values aggregate to mean, sample standard deviation, and standard error.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from .augment import (
     mentions_attribute,
 )
 from .client import EmbeddingEndpoint, embed_text
-from .dataset import UNIT_NORM_TOL, LabeledEmbeddingTable, make_folds
+from .dataset import UNIT_NORM_TOL, LabeledEmbeddingTable, make_folds, read_json, read_json_lines
 from .equalize import MODES, DebiasReport, debias
 from .errors import (
     BendError,
@@ -36,7 +35,6 @@ from .errors import (
     EmptyGroup,
     MetadataError,
     MissingEndpoint,
-    DatasetIOError,
 )
 from .metrics import empirical_distribution, kl_divergence, max_skew, worst_group_auc
 from .reference_index import (
@@ -49,7 +47,7 @@ from .reference_index import (
 )
 from .reporting import SCHEMA, summary_stats
 from .subspace import GENERIC_COLUMN_MODES, build_attribute_matrix, orthogonalize
-from .vectors import Vector, is_number, mean_embedding, normalize, number_vector
+from .vectors import Vector, mean_embedding, normalize, number_vector
 
 SUBSET_RANKINGS = ("step1", "raw")
 # Finals that ``evaluate`` scores with one GEMM: 6.4 MB of scores at 50k rows.
@@ -104,25 +102,18 @@ class QueryRow:
     generic: dict[str, Vector] | None = None
 
 
-def _numeric_vector(values, what: str) -> Vector:
-    try:
-        vector = number_vector(values)
-    except (TypeError, ValueError, OverflowError):
-        raise MetadataError(f"{what} holds a non-numeric vector") from None
-    if not np.all(np.isfinite(vector)):
-        raise MetadataError(f"{what} holds a non-finite vector")
-    return vector
-
-
-def _vector_map(obj, what: str) -> dict[str, Vector]:
+def _vector_map(obj, what: str) -> dict[str, Vector] | None:
+    if obj is None:
+        return None
     if not isinstance(obj, dict):
         raise MetadataError(f"{what} must map attribute values to vectors")
-    return {str(k): _numeric_vector(v, f"{what} {k!r}") for k, v in obj.items()}
+    return {
+        str(k): number_vector(v, f"{what} {k!r}", MetadataError, MetadataError)
+        for k, v in obj.items()
+    }
 
 
 def parse_query_row(record: dict, lineno: int = 0) -> QueryRow:
-    if not isinstance(record, dict):
-        raise MetadataError(f"query line {lineno} is not a JSON object")
     schema = record.get("schema")
     if schema is not None and schema != SCHEMA:
         raise MetadataError(f"query line {lineno} has unknown schema {schema!r}")
@@ -138,42 +129,25 @@ def parse_query_row(record: dict, lineno: int = 0) -> QueryRow:
         raise MetadataError(
             f"query {query_id!r} must carry exactly one of 'text' or 'vector'"
         )
+    if vector is not None:
+        vector = number_vector(vector, f"query {query_id!r}", MetadataError, MetadataError)
     return QueryRow(
         id=query_id,
         text=text if text is None else str(text),
-        vector=None if vector is None else _numeric_vector(vector, f"query {query_id!r}"),
+        vector=vector,
         class_label=class_label,
-        augmented=(
-            _vector_map(record["augmented"], "augmented")
-            if record.get("augmented") is not None
-            else None
-        ),
-        generic=(
-            _vector_map(record["generic"], "generic")
-            if record.get("generic") is not None
-            else None
-        ),
+        augmented=_vector_map(record.get("augmented"), "augmented"),
+        generic=_vector_map(record.get("generic"), "generic"),
     )
 
 
 def load_queries(path: str | Path) -> list[QueryRow]:
     """Parse a queries JSONL file, rejecting duplicate ids."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DatasetIOError(f"cannot read queries file {path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise MetadataError(f"queries file {path} is not UTF-8") from None
+    _, records = read_json_lines(path, "query")
     rows = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            raise MetadataError(f"query line {lineno} is not valid JSON") from None
+    for lineno, record in records:
         row = parse_query_row(record, lineno)
         if row.id in seen:
             raise DuplicateId(f"duplicate query id {row.id!r}")
@@ -185,14 +159,7 @@ def load_queries(path: str | Path) -> list[QueryRow]:
 
 
 def load_prior(path: str | Path, space: AttributeSpace) -> dict[str, float]:
-    path = Path(path)
-    try:
-        body = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DatasetIOError(f"cannot read prior file {path}: {exc}") from None
-    except ValueError:
-        raise ConfigError(f"prior file {path} is not valid JSON") from None
-    return validate_prior(body, space)
+    return validate_prior(read_json(Path(path), "prior file", ConfigError), space)
 
 
 def validate_prior(probs, space: AttributeSpace) -> dict[str, float]:
@@ -200,14 +167,12 @@ def validate_prior(probs, space: AttributeSpace) -> dict[str, float]:
         raise ConfigError(
             f"prior must assign a probability to every value of {space.name!r}"
         )
-    if not all(is_number(probs[value]) for value in space.values):
-        raise ConfigError("prior probabilities must be numbers")
-    try:
-        out = {value: float(probs[value]) for value in space.values}
-    except OverflowError:
-        raise ConfigError("prior probabilities must be numbers") from None
-    if not all(0 <= p < np.inf for p in out.values()):  # NaN fails both
-        raise ConfigError("prior probabilities must be finite and non-negative")
+    column = number_vector(
+        [probs[value] for value in space.values], "prior", ConfigError, ConfigError
+    )
+    out = dict(zip(space.values, column.tolist()))
+    if min(out.values()) < 0:
+        raise ConfigError("prior probabilities must be non-negative")
     if abs(sum(out.values()) - 1.0) > 1e-9:
         raise ConfigError("prior probabilities must sum to 1")
     return out

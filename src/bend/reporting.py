@@ -15,6 +15,7 @@ import numpy as np
 from .errors import NonFiniteValue
 
 SCHEMA = "bend/1"
+INDENT = 2
 
 
 def format_float(value: float) -> str:
@@ -24,9 +25,9 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def _encode(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    child_pad = " " * (indent * (level + 1))
+def _encode(obj, level: int) -> str:
+    pad = " " * (INDENT * level)
+    child_pad = " " * (INDENT * (level + 1))
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -42,7 +43,7 @@ def _encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_encode(item, indent, level + 1) for item in obj]
+        items = [_encode(item, level + 1) for item in obj]
         return "[\n" + ",\n".join(child_pad + item for item in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -52,14 +53,14 @@ def _encode(obj, indent: int, level: int) -> str:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {type(key)}")
             items.append(
-                child_pad + json.dumps(key) + ": " + _encode(value, indent, level + 1)
+                child_pad + json.dumps(key) + ": " + _encode(value, level + 1)
             )
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)} into a report")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    return _encode(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    return _encode(obj, 0) + "\n"
 
 
 def summary_stats(values) -> dict:

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySet, ZeroVector
+from .errors import BendError, DimensionMismatch, EmptySet, ZeroVector
 
 # Norms at or below this are treated as zero vectors.
 ZERO_NORM_EPS = 1e-12
@@ -32,15 +32,21 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def number_vector(values) -> Vector:
-    """``as_vector`` for decoded JSON, where every element must be a number.
-
-    numpy alone reads ``"1"`` and ``true`` as 1.0. Any element that fails
-    ``is_number`` raises ``TypeError``, as a non-iterable ``values`` does.
-    """
-    if not all(map(is_number, values)):
-        raise TypeError("vector elements must be numbers")
-    return as_vector(values)
+def number_vector(
+    values, what: str, invalid: type[BendError], non_finite: type[BendError]
+) -> Vector:
+    """The decoded JSON array ``values`` as a finite float64 vector. An element
+    that fails ``is_number`` (numpy reads ``"1"`` and ``true`` as 1.0) or is too
+    large for a float64 raises ``invalid``; a NaN or infinity ``non_finite``."""
+    try:
+        vector = as_vector(values) if all(map(is_number, values)) else None
+    except (TypeError, OverflowError):  # not iterable, or too large for a float64
+        vector = None
+    if vector is None:
+        raise invalid(f"{what} is not a list of numbers")
+    if not np.all(np.isfinite(vector)):
+        raise non_finite(f"{what} holds a non-finite value")
+    return vector
 
 
 def _same_dim(u: Vector, v: Vector) -> None:
@@ -97,11 +103,11 @@ def project_out(v, basis) -> Vector:
     return residual
 
 
-def gram_schmidt(columns: Iterable, rel_tol: float = RANK_REL_TOL) -> tuple[np.ndarray, int]:
+def gram_schmidt(columns: Iterable) -> tuple[np.ndarray, int]:
     """Sequential Gram-Schmidt with rank filtering.
 
     Columns whose residual norm after projection onto the accepted basis
-    falls below ``rel_tol`` times their original norm are dropped (zero
+    falls below ``RANK_REL_TOL`` times their original norm are dropped (zero
     columns always are). Returns the orthonormal basis as an (r, d) array,
     in acceptance order, plus the dropped-column count.
     """
@@ -124,7 +130,7 @@ def gram_schmidt(columns: Iterable, rel_tol: float = RANK_REL_TOL) -> tuple[np.n
         for b in basis:
             residual -= (residual @ b) * b
         norm = float(np.linalg.norm(residual))
-        if norm < rel_tol * original:
+        if norm < RANK_REL_TOL * original:
             dropped += 1
             continue
         basis.append(residual / norm)

@@ -5,12 +5,15 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
+# No shrink or explain phase: shrinking re-runs the test body on every smaller
+# candidate, which for a failing evaluate property takes minutes, not seconds.
 settings.register_profile(
     "bend",
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
 )
 settings.load_profile("bend")
 

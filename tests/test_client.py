@@ -236,3 +236,11 @@ def test_external_augmenter_never_raises(reply):
     assert out.source in ("external", "template-fallback")
     assert set(out.per_value_texts) == set(GENDER.values)
     assert all(isinstance(t, str) and t.strip() for t in out.per_value_texts.values())
+
+
+def test_body_nested_too_deep_is_malformed():
+    endpoint = EmbeddingEndpoint(url="http://embedder.test/embed", expected_dim=DIM)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(client.requests, "post", fake_post([(200, b"[" * 100_000)]))
+        with pytest.raises(MalformedResponse):
+            embed_text(["a"], endpoint)

@@ -1,0 +1,239 @@
+"""Every JSON input file fails the same way at its boundary.
+
+The manifest, ``meta.jsonl``, a generator spec, a queries file and a prior
+file are all read by ``read_json`` or ``read_json_lines``: an unreadable file
+exits 3, and text that is not UTF-8 or not JSON exits with the file's own
+class. These cases are the seed corpus for a format fuzz.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from bend.augment import GENDER
+from bend.cli import main
+from bend.dataset import LabeledEmbeddingTable, load_synth_spec, read_dataset, write_dataset
+from bend.errors import (
+    ConfigError,
+    DatasetIOError,
+    ManifestError,
+    MetadataError,
+    SizeMismatch,
+    SynthSpecError,
+)
+from bend.pipeline import load_prior, load_queries
+
+COUNT = 3
+DIM = 4
+
+
+def small_table():
+    vectors = np.eye(COUNT, DIM)
+    return LabeledEmbeddingTable(
+        vectors=vectors,
+        ids=tuple(f"r{i}" for i in range(COUNT)),
+        attributes={"gender": ("male", "female", "male")},
+        classes=(None,) * COUNT,
+        spaces={"gender": GENDER},
+    )
+
+
+def spec_body():
+    return {
+        "dim": 8,
+        "seed": 3,
+        "noise": 0.1,
+        "attribute": {"name": "gender", "values": ["male", "female"]},
+        "cells": [
+            {"class": "c0", "value": "male", "bias": 0.5, "count": 4},
+            {"class": "c0", "value": "female", "bias": -0.5, "count": 4},
+        ],
+        "queries": [{"id": "q", "class": "c0", "align": "male"}],
+    }
+
+
+def _dataset(tmp_path):
+    return write_dataset(small_table(), tmp_path / "ds")
+
+
+def _setup(kind, tmp_path):
+    """A valid input file of ``kind``, and a call that reads it."""
+    if kind == "manifest":
+        manifest = _dataset(tmp_path)
+        return manifest, lambda: read_dataset(manifest)
+    if kind == "meta":
+        manifest = _dataset(tmp_path)
+        return manifest.parent / "meta.jsonl", lambda: read_dataset(manifest)
+    if kind == "spec":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_body()))
+        return path, lambda: load_synth_spec(path)
+    if kind == "queries":
+        path = tmp_path / "queries.jsonl"
+        path.write_text(json.dumps({"id": "q", "vector": [1.0, 0.0, 0.0, 0.0]}) + "\n")
+        return path, lambda: load_queries(path)
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps({"male": 0.5, "female": 0.5}))
+    return path, lambda: load_prior(path, GENDER)
+
+
+# What each file's content fault raises; an unreadable file is always exit 3.
+INVALID = {
+    "manifest": (ManifestError, 5),
+    "meta": (MetadataError, 5),
+    "spec": (SynthSpecError, 2),
+    "queries": (MetadataError, 5),
+    "prior": (ConfigError, 2),
+}
+JSONL = ("meta", "queries")
+# What replaces the file, or the first line of a JSON-lines file.
+BAD = {
+    "not-utf8": b'{"id": "\xff"}',
+    "not-json": b"{oops",
+    "too-deep": b"[" * 100_000,
+    "not-object": b'["not", "an", "object"]',
+}
+CASES = [
+    (kind, fault)
+    for kind in INVALID
+    for fault in ["unreadable", *BAD]
+    if fault != "not-object" or kind in JSONL
+]
+
+
+@pytest.mark.parametrize("kind, fault", CASES)
+def test_input_file_fault_exits_with_the_file_class(tmp_path, kind, fault):
+    path, read = _setup(kind, tmp_path)
+    read()  # the unbroken file loads
+    if fault == "unreadable":
+        path.unlink()
+        path.mkdir()
+    elif kind in JSONL:
+        rest = path.read_bytes().splitlines(keepends=True)[1:]
+        path.write_bytes(BAD[fault] + b"\n" + b"".join(rest))
+    else:
+        path.write_bytes(BAD[fault])
+    error, code = (DatasetIOError, 3) if fault == "unreadable" else INVALID[kind]
+    with pytest.raises(error) as excinfo:
+        read()
+    assert type(excinfo.value) is error
+    assert excinfo.value.exit_code == code
+    if kind in JSONL and fault not in ("unreadable", "not-utf8"):
+        assert "line 0 " in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        pytest.param("{oops", "metadata line 4 is not valid JSON", id="not-json"),
+        pytest.param('{"id": "r2"}', "metadata line 4 needs a string label", id="no-label"),
+    ],
+)
+def test_metadata_error_after_blank_lines_names_the_physical_line(tmp_path, bad_line, message):
+    manifest = _dataset(tmp_path)
+    meta = manifest.parent / "meta.jsonl"
+    first, second, _ = meta.read_text().splitlines()
+    meta.write_text("\n".join([first, "", "   ", second, bad_line]) + "\n")
+    with pytest.raises(MetadataError, match=message):
+        read_dataset(manifest)
+
+
+def test_metadata_count_is_checked_before_any_line(tmp_path):
+    manifest = _dataset(tmp_path)
+    meta = manifest.parent / "meta.jsonl"
+    meta.write_text("{oops\n" + meta.read_text())
+    with pytest.raises(MetadataError, match="metadata has 4 records, manifest says 3"):
+        read_dataset(manifest)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dim", str(DIM)),
+        ("count", str(COUNT)),
+        ("dim", DIM + 0.9),
+        ("count", COUNT + 0.7),
+        ("count", True),
+    ],
+)
+def test_manifest_numbers_are_checked_not_coerced(tmp_path, field, value):
+    manifest = _dataset(tmp_path)
+    body = json.loads(manifest.read_text())
+    body[field] = value
+    manifest.write_text(json.dumps(body))
+    with pytest.raises(ManifestError) as excinfo:
+        read_dataset(manifest)
+    assert excinfo.value.exit_code == 5
+
+
+def test_manifest_integral_floats_are_counts(tmp_path):
+    manifest = _dataset(tmp_path)
+    body = json.loads(manifest.read_text())
+    body.update(dim=float(DIM), count=float(COUNT))
+    manifest.write_text(json.dumps(body))
+    assert read_dataset(manifest).vectors.shape == (COUNT, DIM)
+    body["count"] = 1e300
+    manifest.write_text(json.dumps(body))
+    with pytest.raises(SizeMismatch):
+        read_dataset(manifest)
+
+
+@pytest.mark.parametrize(
+    "where, field, value",
+    [
+        ("spec", "dim", "8"),
+        ("spec", "seed", True),
+        ("spec", "noise", "0.1"),
+        ("cell", "bias", "0.5"),
+        ("cell", "count", 3.9),
+        ("cell", "count", True),
+        ("query", "scale", "2"),
+        ("spec", "noise", float("nan")),
+        ("cell", "bias", float("inf")),
+        ("query", "scale", float("-inf")),
+        ("query", "aug_noise", float("nan")),
+    ],
+)
+def test_spec_numbers_are_checked_not_coerced(tmp_path, where, field, value):
+    body = spec_body()
+    target = {"spec": body, "cell": body["cells"][0], "query": body["queries"][0]}[where]
+    target[field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(body))
+    with pytest.raises(SynthSpecError) as excinfo:
+        load_synth_spec(path)
+    assert excinfo.value.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "male",
+    [
+        pytest.param(-0.5, id="negative"),
+        pytest.param(float("inf"), id="infinite"),
+        pytest.param([0.5], id="nested"),
+    ],
+)
+def test_prior_numbers_are_checked(tmp_path, male):
+    # NaN, huge integers, strings and booleans are cases of test_bad_prior_rejected.
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps({"male": male, "female": 0.5}))
+    with pytest.raises(ConfigError) as excinfo:
+        load_prior(path, GENDER)
+    assert excinfo.value.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [
+        pytest.param("[1, 0, 0, 0", id="not-json"),
+        pytest.param("[" * 100_000, id="too-deep"),
+        pytest.param("@{tmp}/missing.json", id="missing-file"),
+        pytest.param("@{tmp}", id="unreadable-file"),
+    ],
+)
+def test_vector_flag_faults_are_usage_errors(tmp_path, vector):
+    # --vector takes inline JSON or a path, so a bad path is a usage error too.
+    manifest = _dataset(tmp_path)
+    vector = vector.format(tmp=tmp_path)
+    assert main(["retrieve", "--vector", vector, "--target", str(manifest)]) == 2
