@@ -55,7 +55,6 @@ from .reference_index import (
 from .subspace import AttributeMatrix, build_attribute_matrix, orthogonalize
 from .vectors import (
     gram_schmidt,
-    mean_embedding,
     normalize,
     project_out,
 )

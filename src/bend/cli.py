@@ -29,7 +29,6 @@ from .errors import BendError, ConfigError, DatasetIOError, MissingEndpoint, Non
 from .pipeline import QueryRow, RunConfig
 from .reference_index import build_index
 from .reporting import dumps
-from .subspace import GENERIC_COLUMN_MODES
 from .vectors import number_vector
 
 EMBED_ENDPOINT_ENV = "BEND_EMBED_ENDPOINT"
@@ -109,8 +108,6 @@ def cmd_debias(args) -> int:
         attribute=args.attribute,
         n=args.n,
         modes=_parse_modes(args.modes),
-        subset_by=args.subset_by,
-        generic_columns=args.generic_columns,
         embed_endpoint=_embed_endpoint(args, reference.dim),
         augment_endpoint=args.augment_endpoint,
     )
@@ -162,8 +159,6 @@ def cmd_evaluate(args) -> int:
         modes=_parse_modes(args.modes),
         seed=args.seed,
         fold_count=args.folds,
-        subset_by=args.subset_by,
-        generic_columns=args.generic_columns,
         embed_endpoint=_embed_endpoint(args, reference.dim),
         augment_endpoint=args.augment_endpoint,
         prior=prior,
@@ -239,10 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_debias.add_argument("--attribute", required=True)
     p_debias.add_argument("--n", type=int, default=100)
     p_debias.add_argument("--modes", default="full")
-    p_debias.add_argument("--subset-by", default="step1",
-                          choices=pipeline.SUBSET_RANKINGS)
-    p_debias.add_argument("--generic-columns", default="diff",
-                          choices=GENERIC_COLUMN_MODES)
     p_debias.add_argument("--out", default=None)
     _add_endpoint_arguments(p_debias)
     p_debias.set_defaults(handler=cmd_debias)
@@ -268,10 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--modes", default=",".join(MODES))
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--folds", type=int, default=5)
-    p_eval.add_argument("--subset-by", default="step1",
-                        choices=pipeline.SUBSET_RANKINGS)
-    p_eval.add_argument("--generic-columns", default="diff",
-                        choices=GENERIC_COLUMN_MODES)
     p_eval.add_argument("--prior", default=None)
     p_eval.add_argument("--out", default=None)
     _add_endpoint_arguments(p_eval)

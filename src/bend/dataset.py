@@ -235,9 +235,11 @@ def read_json(path: Path, what: str, invalid: type[BendError]):
 def read_json_lines(path: Path, what: str) -> tuple[int, Iterator[tuple[int, dict]]]:
     """The count of non-blank lines in a JSON-lines file, and a generator of
     ``(0-based line number, object)`` over them. Each line is parsed on its own
-    when drawn and then dropped, so no record outlives its use. An unreadable
+    when drawn and then dropped, so no record outlives its use. Only a line feed
+    ends a line (text mode has already turned CR LF and CR into one), so a raw
+    U+2028 or U+0085 inside a JSON string stays in its record. An unreadable
     file raises ``DatasetIOError``; bad UTF-8, JSON or objects ``MetadataError``."""
-    lines = _read_text(path, f"{what} file", MetadataError).splitlines()
+    lines = _read_text(path, f"{what} file", MetadataError).split("\n")
     return sum(1 for line in lines if line.strip()), _json_objects(lines, what)
 
 

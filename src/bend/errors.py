@@ -50,10 +50,6 @@ class DimensionMismatch(BendError):
     pass
 
 
-class EmptySet(BendError):
-    pass
-
-
 class EmptyTable(BendError):
     pass
 

@@ -46,10 +46,9 @@ from .reference_index import (
     top_rows,
 )
 from .reporting import SCHEMA, summary_stats
-from .subspace import GENERIC_COLUMN_MODES, build_attribute_matrix, orthogonalize
-from .vectors import Vector, mean_embedding, normalize, number_vector
+from .subspace import build_attribute_matrix, orthogonalize
+from .vectors import Vector, normalize, number_vector
 
-SUBSET_RANKINGS = ("step1", "raw")
 # Finals that ``evaluate`` scores with one GEMM: 6.4 MB of scores at 50k rows.
 SCORE_BLOCK_COLUMNS = 16
 
@@ -64,8 +63,6 @@ class RunConfig:
     modes: tuple[str, ...] = MODES
     seed: int = 0
     fold_count: int = 5
-    subset_by: str = "step1"
-    generic_columns: str = "diff"
     embed_endpoint: EmbeddingEndpoint | None = None
     augment_endpoint: str | None = None
     prior: dict[str, float] | None = None
@@ -84,12 +81,6 @@ class RunConfig:
             raise ConfigError("fold_count must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.subset_by not in SUBSET_RANKINGS:
-            raise ConfigError(f"subset_by must be one of {SUBSET_RANKINGS}")
-        if self.generic_columns not in GENERIC_COLUMN_MODES:
-            raise ConfigError(
-                f"generic_columns must be one of {GENERIC_COLUMN_MODES}"
-            )
 
 
 @dataclass(frozen=True)
@@ -131,13 +122,20 @@ def parse_query_row(record: dict, lineno: int = 0) -> QueryRow:
         )
     if vector is not None:
         vector = number_vector(vector, f"query {query_id!r}", MetadataError, MetadataError)
+    augmented = _vector_map(record.get("augmented"), "augmented")
+    generic = _vector_map(record.get("generic"), "generic")
+    # Bundled directions that resolve_query would not read are an error.
+    if (augmented is not None and vector is None) or (generic is not None and augmented is None):
+        raise MetadataError(
+            f"query {query_id!r}: 'augmented' needs a 'vector' and 'generic' needs 'augmented'"
+        )
     return QueryRow(
         id=query_id,
         text=text if text is None else str(text),
         vector=vector,
         class_label=class_label,
-        augmented=_vector_map(record.get("augmented"), "augmented"),
-        generic=_vector_map(record.get("generic"), "generic"),
+        augmented=augmented,
+        generic=generic,
     )
 
 
@@ -190,6 +188,16 @@ class ResolvedQuery:
     skip_reason: str | None = None
 
 
+def _per_value(
+    row: QueryRow, vectors: dict[str, Vector], what: str, space: AttributeSpace
+) -> dict[str, Vector]:
+    """A row's bundled ``what`` vectors in ``space``'s value order."""
+    missing = set(space.values) - set(vectors)
+    if missing:
+        raise MetadataError(f"query {row.id!r} {what} vectors missing {sorted(missing)}")
+    return {v: vectors[v] for v in space.values}
+
+
 def resolve_query(
     row: QueryRow, space: AttributeSpace, index: ReferenceIndex, cfg: RunConfig
 ) -> ResolvedQuery:
@@ -208,25 +216,15 @@ def resolve_query(
                 f"query {row.id!r} has dimension {embedding.shape[0]}, dataset {dim}"
             )
         if row.augmented is not None:
-            missing = set(space.values) - set(row.augmented)
-            if missing:
-                raise MetadataError(
-                    f"query {row.id!r} augmented vectors missing {sorted(missing)}"
-                )
-            augmented = {v: row.augmented[v] for v in space.values}
+            augmented = _per_value(row, row.augmented, "augmented", space)
             generic = None
             if row.generic is not None:
-                missing = set(space.values) - set(row.generic)
-                if missing:
-                    raise MetadataError(
-                        f"query {row.id!r} generic vectors missing {sorted(missing)}"
-                    )
-                generic = {v: row.generic[v] for v in space.values}
+                generic = _per_value(row, row.generic, "generic", space)
             return ResolvedQuery(row, embedding, augmented, generic)
         # No text and no bundled directions: estimate global attribute
         # directions from the labeled reference groups.
         means = index.group_means(space.name)
-        center = mean_embedding(list(means.values()))
+        center = np.stack(list(means.values())).mean(axis=0)
         augmented = {v: embedding + (means[v] - center) for v in space.values}
         generic = {v: means[v] for v in space.values}
         return ResolvedQuery(row, embedding, augmented, generic,
@@ -290,13 +288,9 @@ def run_query_reports(
             for mode in cfg.modes
         }
         return passthrough, None
-    matrix = build_attribute_matrix(
-        resolved.embedding, resolved.augmented, resolved.generic, cfg.generic_columns
-    )
-    if cfg.subset_by == "step1":
-        ranking = orthogonalize(resolved.embedding, matrix)
-    else:
-        ranking = resolved.embedding
+    matrix = build_attribute_matrix(resolved.embedding, resolved.augmented, resolved.generic)
+    # Step 2's relevant references are the ones closest to the step-1 query.
+    ranking = orthogonalize(resolved.embedding, matrix)
     subsets = top_n_by_attribute(index, ranking, space, cfg.n)
     reports = {
         mode: debias(resolved.embedding, matrix, subsets, mode) for mode in cfg.modes
@@ -591,8 +585,8 @@ def evaluate(
         "modes": list(cfg.modes),
         "seed": cfg.seed,
         "fold_count": cfg.fold_count,
-        "subset_by": cfg.subset_by,
-        "generic_columns": cfg.generic_columns,
+        "subset_by": "step1",
+        "generic_columns": "diff",
         "log_base": "e",
     }
     if source_info:
@@ -670,8 +664,8 @@ def debias_report_json(
         "augment_source": resolved.augment_source,
         "augmented_texts": resolved.augmented_texts,
         "n": cfg.n,
-        "subset_by": cfg.subset_by,
-        "generic_columns": cfg.generic_columns,
+        "subset_by": "step1",
+        "generic_columns": "diff",
         "n_used": subsets.n_used if subsets is not None else None,
         "subset_ids": subset_ids,
         "modes": modes_out,

@@ -19,8 +19,6 @@ from .vectors import Vector, as_vector, gram_schmidt, normalize, project_out
 
 RESIDUAL_EPS = 1e-8
 
-GENERIC_COLUMN_MODES = ("diff", "raw")
-
 
 @dataclass(frozen=True)
 class AttributeMatrix:
@@ -39,17 +37,13 @@ def build_attribute_matrix(
     query_emb,
     augmented_embs: Mapping[str, Vector],
     generic_embs: Mapping[str, Vector] | None = None,
-    generic_columns: str = "diff",
 ) -> AttributeMatrix:
     """Assemble the local attribute matrix for one query.
 
     Column order is deterministic: augmented-minus-query differences in the
-    order of ``augmented_embs``, then generic directions. In ``diff`` mode the
-    generic embeddings enter as pairwise differences against the first value;
-    ``raw`` keeps them verbatim.
+    order of ``augmented_embs``, then generic directions: the generic
+    embeddings enter as pairwise differences against the first value.
     """
-    if generic_columns not in GENERIC_COLUMN_MODES:
-        raise ConfigError(f"generic_columns must be one of {GENERIC_COLUMN_MODES}")
     query = as_vector(query_emb)
     if not augmented_embs:
         raise ConfigError("augmented_embs must be non-empty")
@@ -68,10 +62,7 @@ def build_attribute_matrix(
         for g in generics:
             if g.shape != query.shape:
                 raise DimensionMismatch("generic embedding dimension differs from query")
-        if generic_columns == "diff":
-            columns.extend(g - generics[0] for g in generics[1:])
-        else:
-            columns.extend(generics)
+        columns.extend(g - generics[0] for g in generics[1:])
 
     basis, dropped = gram_schmidt(columns)
     if basis.shape[0] == 0:

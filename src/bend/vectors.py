@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BendError, DimensionMismatch, EmptySet, ZeroVector
+from .errors import BendError, DimensionMismatch, ZeroVector
 
 # Norms at or below this are treated as zero vectors.
 ZERO_NORM_EPS = 1e-12
@@ -49,11 +49,6 @@ def number_vector(
     return vector
 
 
-def _same_dim(u: Vector, v: Vector) -> None:
-    if u.shape[0] != v.shape[0]:
-        raise DimensionMismatch(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-
-
 def normalize(v) -> Vector:
     """Scale ``v`` to unit Euclidean norm, preserving direction."""
     arr = as_vector(v)
@@ -61,28 +56,6 @@ def normalize(v) -> Vector:
     if norm <= ZERO_NORM_EPS:
         raise ZeroVector("cannot normalize a (near-)zero vector")
     return arr / norm
-
-
-def mean_embedding(vectors: Iterable) -> Vector:
-    """Componentwise mean of a non-empty collection.
-
-    Deliberately not renormalized: downstream equalization works with raw
-    group means, and callers must treat a (near-)zero mean as degenerate.
-    """
-    rows = [as_vector(v) for v in vectors]
-    if not rows:
-        raise EmptySet("mean of an empty collection of vectors")
-    dim = rows[0].shape[0]
-    for r in rows[1:]:
-        _same_dim(rows[0], r)
-    return np.stack(rows).mean(axis=0)
-
-
-def _as_basis(basis) -> np.ndarray:
-    arr = np.asarray(basis, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return arr
 
 
 def project_out(v, basis) -> Vector:
@@ -93,10 +66,13 @@ def project_out(v, basis) -> Vector:
     is degenerate.
     """
     arr = as_vector(v)
-    b = _as_basis(basis)
+    b = np.asarray(basis, dtype=np.float64)
+    if b.ndim == 1:
+        b = b.reshape(1, -1)
     if b.size == 0:
         return arr.copy()
-    _same_dim(arr, b[0])
+    if b.shape[1] != arr.shape[0]:
+        raise DimensionMismatch(f"dimension mismatch: {arr.shape[0]} vs {b.shape[1]}")
     residual = arr - b.T @ (b @ arr)
     # Second pass scrubs reintroduced components when v nearly lies in the span.
     residual = residual - b.T @ (b @ residual)

@@ -339,6 +339,55 @@ class TestBoundaryErrors:
         assert "MetadataError" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            pytest.param(
+                {"id": "q", "vector": [1.0] + [0.0] * 15,
+                 "generic": {"male": [1.0] * 16, "female": [0.5] * 16}},
+                id="generic-without-augmented",
+            ),
+            pytest.param(
+                {"id": "q", "text": "a photo of a nurse",
+                 "augmented": {"male": [1.0] * 16, "female": [0.5] * 16}},
+                id="text-with-augmented",
+            ),
+        ],
+    )
+    def test_unread_bundled_vectors_exit_5(self, ref_target, tmp_path, row):
+        ref, target = ref_target
+        queries = tmp_path / "q.jsonl"
+        queries.write_text(json.dumps(row) + "\n")
+        proc = run_module(
+            "evaluate", str(queries), "--reference", str(ref),
+            "--target", str(target), "--attribute", "gender",
+        )
+        assert proc.returncode == 5
+        assert "MetadataError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["debias", "evaluate"])
+    def test_ablation_flags_are_gone(self, ref_target, synth_dataset, tmp_path, command):
+        ref, target = ref_target
+        if command == "debias":
+            args = ["debias", "--vector", json.dumps([1.0] + [0.0] * 15),
+                    "--reference", str(ref), "--attribute", "gender", "--n", "20"]
+        else:
+            args = ["evaluate", str(synth_dataset / QUERIES_NAME), "--reference", str(ref),
+                    "--target", str(target), "--attribute", "gender", "--n", "20",
+                    "--k", "80"]
+        out = tmp_path / "report.json"
+        for flag in ("--subset-by", "--generic-columns"):
+            proc = run_module(*args, flag, "raw", "--out", str(out))
+            assert proc.returncode == 2
+            assert "unrecognized arguments" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert not out.exists()
+        assert main([*args, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        echo = report["config"] if command == "evaluate" else report
+        assert (echo["subset_by"], echo["generic_columns"]) == ("step1", "diff")
+
     def test_wrong_dimension_vector_exits_5(self, ref_target):
         _, target = ref_target
         proc = run_module("retrieve", "--vector", "[1.0, 0.0]", "--target", str(target))

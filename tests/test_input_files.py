@@ -139,6 +139,32 @@ def test_metadata_error_after_blank_lines_names_the_physical_line(tmp_path, bad_
         read_dataset(manifest)
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_unicode_line_separators_stay_inside_json_strings(tmp_path, separator):
+    # JSON allows these raw inside a string; only a line feed ends a record.
+    text = f"x{separator}y"
+    manifest = _dataset(tmp_path)
+    meta = manifest.parent / "meta.jsonl"
+    records = [json.loads(line) for line in meta.read_text().splitlines()]
+    records[1]["class"] = text
+    meta.write_text(
+        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
+    )
+    assert separator in meta.read_text(encoding="utf-8")
+    assert read_dataset(manifest).classes == (None, text, None)
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(
+        json.dumps({"id": text, "text": text}, ensure_ascii=False) + "\n"
+        + json.dumps({"id": "v", "vector": [1.0, 0.0], "class": text}, ensure_ascii=False)
+        + "\n",
+        encoding="utf-8",
+    )
+    rows = load_queries(queries)
+    assert [(r.id, r.text, r.class_label) for r in rows] == [
+        (text, text, None), ("v", None, text)
+    ]
+
+
 def test_metadata_count_is_checked_before_any_line(tmp_path):
     manifest = _dataset(tmp_path)
     meta = manifest.parent / "meta.jsonl"

@@ -50,6 +50,9 @@ def small_setup(eps=0.3, seed=42, split_seed=13):
     return reference, target, rows, cfg
 
 
+BUNDLED = {"male": [0.9, 0.1], "female": [0.1, 0.9]}
+
+
 class TestQueryLoading:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "queries.jsonl"
@@ -115,7 +118,7 @@ class TestQueryLoading:
     )
     def test_non_numeric_vector_rejected(self, field, value):
         record = {"id": "q", "vector": [1.0, 0.0], field: value}
-        with pytest.raises(MetadataError):
+        with pytest.raises(MetadataError, match="numbers|non-finite"):
             parse_query_row(record)
 
     @pytest.mark.parametrize("label", [["c0"], 1, True])
@@ -137,6 +140,26 @@ class TestQueryLoading:
             }
         )
         assert set(row.augmented) == {"male", "female"}
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            pytest.param(
+                {"id": "q", "vector": [1.0, 0.0], "generic": BUNDLED}, id="generic-alone"
+            ),
+            pytest.param({"id": "q", "text": "x", "augmented": BUNDLED}, id="text-augmented"),
+            pytest.param({"id": "q", "text": "x", "generic": BUNDLED}, id="text-generic"),
+            pytest.param(
+                {"id": "q", "text": "x", "augmented": BUNDLED, "generic": BUNDLED},
+                id="text-both",
+            ),
+        ],
+    )
+    def test_unread_bundled_vectors_rejected(self, record):
+        # resolve_query reads 'generic' only beside 'augmented', and neither
+        # on a text row; a row carrying them otherwise would drop them silently.
+        with pytest.raises(MetadataError, match="'augmented' needs a 'vector'"):
+            parse_query_row(record)
 
 
 class TestResolveQuery:
@@ -337,8 +360,6 @@ class TestRunConfigValidation:
             {"attribute": "gender", "modes": ()},
             {"attribute": "gender", "modes": ("sideways",)},
             {"attribute": "gender", "fold_count": 0},
-            {"attribute": "gender", "subset_by": "psychic"},
-            {"attribute": "gender", "generic_columns": "psychic"},
         ],
     )
     def test_rejects(self, kwargs):

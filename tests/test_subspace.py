@@ -59,18 +59,14 @@ class TestBuildAttributeMatrix:
         assert matrix.rank == without_dup.rank
         assert matrix.dropped_count == without_dup.dropped_count + 1
 
-    def test_generic_diff_and_raw_modes(self, rng):
+    def test_generic_columns_are_differences(self, rng):
         query = _unit(rng, 8)
         augmented = {"a": _unit(rng, 8), "b": _unit(rng, 8)}
         generic = {"a": _unit(rng, 8), "b": _unit(rng, 8)}
-        diff = build_attribute_matrix(query, augmented, generic, "diff")
-        raw = build_attribute_matrix(query, augmented, generic, "raw")
-        # diff mode: 2 aug columns + 1 pairwise generic difference
-        assert diff.columns.shape[0] == 3
-        # raw mode keeps both generic embeddings verbatim
-        assert raw.columns.shape[0] == 4
-        assert np.allclose(raw.columns[2], generic["a"])
-        assert np.allclose(diff.columns[2], generic["b"] - generic["a"])
+        matrix = build_attribute_matrix(query, augmented, generic)
+        # 2 aug columns + 1 generic difference against the first value
+        assert matrix.columns.shape[0] == 3
+        assert np.allclose(matrix.columns[2], generic["b"] - generic["a"])
 
     def test_mismatched_value_sets_rejected(self, rng):
         query = _unit(rng, 4)
@@ -79,14 +75,6 @@ class TestBuildAttributeMatrix:
                 query,
                 {"a": _unit(rng, 4), "b": _unit(rng, 4)},
                 {"a": _unit(rng, 4)},
-            )
-
-    def test_bad_generic_mode_rejected(self, rng):
-        query = _unit(rng, 4)
-        with pytest.raises(ConfigError):
-            build_attribute_matrix(
-                query, {"a": _unit(rng, 4), "b": _unit(rng, 4)},
-                generic_columns="sideways",
             )
 
 

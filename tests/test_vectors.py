@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bend.errors import DimensionMismatch, EmptySet, ZeroVector
+from bend.errors import DimensionMismatch, ZeroVector
 from bend.vectors import (
     gram_schmidt,
-    mean_embedding,
     normalize,
     project_out,
 )
@@ -74,32 +73,6 @@ class TestCosineDistance:
         assert cosine_distance(u, v) == pytest.approx(cosine_distance(v, u), abs=1e-12)
 
 
-class TestMeanEmbedding:
-    def test_two_vectors(self):
-        assert np.allclose(mean_embedding([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5])
-
-    def test_singleton(self):
-        assert np.allclose(mean_embedding([[1.0, 0.0]]), [1.0, 0.0])
-
-    def test_cancellation_gives_zero(self):
-        result = mean_embedding([[1.0, 0.0], [-1.0, 0.0]])
-        assert np.allclose(result, [0.0, 0.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySet):
-            mean_embedding([])
-
-    def test_ragged_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            mean_embedding([[1.0, 0.0], [1.0, 0.0, 0.0]])
-
-    @given(st.lists(nonzero_vectors(3), min_size=2, max_size=6))
-    def test_permutation_invariance(self, vectors):
-        forward = mean_embedding(vectors)
-        backward = mean_embedding(vectors[::-1])
-        assert np.allclose(forward, backward, atol=1e-12)
-
-
 class TestProjectOut:
     def test_single_axis(self):
         out = project_out([1.0, 1.0, 0.0], [[0.0, 1.0, 0.0]])
@@ -112,6 +85,15 @@ class TestProjectOut:
     def test_full_collapse(self):
         out = project_out([1.0, 0.0], [[1.0, 0.0]])
         assert np.allclose(out, [0.0, 0.0], atol=1e-12)
+
+    def test_one_vector_basis(self):
+        out = project_out([1.0, 1.0, 0.0], [0.0, 1.0, 0.0])
+        assert np.allclose(out, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("basis", [[1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]])
+    def test_dimension_mismatch_rejected(self, basis):
+        with pytest.raises(DimensionMismatch):
+            project_out([1.0, 0.0, 0.0], basis)
 
     def test_empty_basis_is_identity(self):
         v = np.array([1.0, 2.0, 3.0])
