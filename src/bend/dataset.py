@@ -115,6 +115,14 @@ class LabeledEmbeddingTable:
             codes[name].flags.writeable = False
         return codes
 
+    @cached_property
+    def class_codes(self) -> tuple[dict[str | None, int], np.ndarray]:
+        """An integer code for every class present, and each row's class code."""
+        position: dict[str | None, int] = {}
+        codes = np.array([position.setdefault(c, len(position)) for c in self.classes])
+        codes.flags.writeable = False
+        return position, codes
+
     def subset(self, indices: Sequence[int]) -> "LabeledEmbeddingTable":
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledEmbeddingTable(

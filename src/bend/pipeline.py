@@ -9,7 +9,6 @@ Fold values aggregate to mean, sample standard deviation, and standard error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,7 +23,7 @@ from .augment import (
     mentions_attribute,
 )
 from .client import EmbeddingEndpoint, embed_text
-from .dataset import UNIT_NORM_TOL, LabeledEmbeddingTable, make_folds, read_json, read_json_lines
+from .dataset import LabeledEmbeddingTable, make_folds, read_json, read_json_lines
 from .equalize import MODES, DebiasReport, debias
 from .errors import (
     BendError,
@@ -40,13 +39,15 @@ from .metrics import empirical_distribution, kl_divergence, max_skew, worst_grou
 from .reference_index import (
     ReferenceIndex,
     RelevantSubsets,
+    _order_certified,
     build_index,
+    relevant_subsets,
     retrieve_top_k,  # the CLI's retrieve verb calls it through this module
     top_n_by_attribute,
     top_rows,
 )
 from .reporting import SCHEMA, summary_stats
-from .subspace import build_attribute_matrix, orthogonalize
+from .subspace import AttributeMatrix, build_attribute_matrix, orthogonalize
 from .vectors import Vector, normalize, number_vector
 
 # Finals that ``evaluate`` scores with one GEMM: 6.4 MB of scores at 50k rows.
@@ -351,43 +352,12 @@ def _fold_tops(
         limit *= 2
 
 
-def _score_error_bound(dim: int) -> float:
-    """Largest difference between two float64 evaluations of one score.
-
-    A score is the ``dim``-term dot product of a table row t and a unit final
-    q. Evaluated in any order, blocked or not, with or without FMA, it is
-    within γ·|t|·|q| ≤ γ·‖t‖·‖q‖ of its exact value, γ = dim·u / (1 − dim·u)
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1), so two
-    evaluations differ by at most 2γ·‖t‖·‖q‖. ‖t‖² passed the table's check
-    against 1 + UNIT_NORM_TOL and ‖q‖ is 1, each up to the rounding of its
-    own computation; the factor (1 + 4γ + 16u) covers that and the rounding
-    of this bound. A product that underflows adds at most one subnormal step.
-    """
-    u = np.finfo(np.float64).eps / 2
-    gamma = dim * u / (1 - dim * u)
-    norms = math.sqrt(1 + UNIT_NORM_TOL) * (1 + 4 * gamma + 16 * u)
-    return 2 * gamma * norms + 2 * dim * np.finfo(np.float64).smallest_subnormal
-
-
-def _order_certified(column: np.ndarray, dim: int) -> bool:
-    """Whether any evaluation of ``column``'s scores orders its rows the same way.
-
-    Every sorted gap exceeds twice ``_score_error_bound``, so no two rows can
-    swap or tie within it.
-    """
-    return bool(np.all(np.diff(np.sort(column)) > 2 * _score_error_bound(dim)))
-
-
 def _score_columns(
     vectors: np.ndarray, finals: Sequence[Vector]
 ) -> tuple[list[np.ndarray], int]:
-    """A score column for each unit final, ordering rows as ``vectors @ final`` does.
-
-    One GEMM scores every final. ``evaluate`` reads only the order of a
-    column (fold top-k and AUC midranks), so a GEMM column serves as is when
-    its order is certified; any other column is rescored by that GEMV, which
-    stays the definition of a score. Also returns how many were rescored.
-    """
+    """A score column for each unit final, ordering rows as ``vectors @ final`` does:
+    one GEMM's column where its whole order is certified, else that GEMV. Also
+    returns how many were rescored."""
     if not finals:
         return [], 0
     block = np.stack(finals) @ vectors.T
@@ -397,6 +367,15 @@ def _score_columns(
         for final, column, ok in zip(finals, block, certified)
     ]
     return columns, certified.count(False)
+
+
+@dataclass(frozen=True)
+class _Step1:
+    """A resolved query with its attribute matrix and step-1 ranking vector."""
+
+    resolved: ResolvedQuery
+    matrix: AttributeMatrix
+    ranking: Vector
 
 
 @dataclass(frozen=True)
@@ -472,11 +451,10 @@ def evaluate(
     """Run every configured mode over every query and aggregate fold metrics.
 
     Per-query failures become error entries rather than aborting the run.
-    Queries are debiased in blocks, and ``_score_columns`` scores each block's
-    finals together, at most ``SCORE_BLOCK_COLUMNS`` of them. Once a block
-    rescores every column by GEMV (a target with near-duplicate rows), later
-    blocks use the GEMV alone. The returned dict is ready for deterministic
-    serialization.
+    Queries run in blocks of at most ``SCORE_BLOCK_COLUMNS`` finals: one GEMM
+    ranks the reference for the block's step-1 queries, where certified, and
+    ``_score_columns`` scores its finals. The returned dict is ready for
+    deterministic serialization.
     """
     if reference.dim != target.dim:
         raise DimensionMismatch(
@@ -484,6 +462,7 @@ def evaluate(
         )
     space = resolve_space(reference, cfg.attribute, target)
     index = build_index(reference)
+    partition = index.partition(space.name)
     folds = make_folds(target.count, cfg.fold_count, cfg.seed)
     # Each fold's row -> fold entries in ``fold_of``, the size of the pool that
     # withholds it, and its own sorted rows per attribute value, scored for AUC.
@@ -494,7 +473,7 @@ def evaluate(
         fold_of[fold] = f
         groups = {v: fold[codes[fold] == i] for i, v in enumerate(space.values)}
         held_out.append((target.count - fold.size, groups))
-    classes = np.array(target.classes, dtype=object)
+    class_codes, class_of = target.class_codes
     if cfg.prior is not None:
         prior = validate_prior(cfg.prior, space)
     else:
@@ -505,20 +484,46 @@ def evaluate(
     def failed(row: QueryRow, exc: BendError) -> dict:
         return {"id": row.id, "error": f"{type(exc).__name__}: {exc}"}
 
-    def debiased(row: QueryRow) -> _Debiased | dict:
-        """The query debiased in every mode, or its error entry."""
+    def finished(
+        resolved: ResolvedQuery, reports: dict[str, DebiasReport], subsets: RelevantSubsets | None
+    ) -> _Debiased:
+        finals = [normalize(reports[mode].final) for mode in cfg.modes]
+        return _Debiased(resolved, reports, subsets, finals)
+
+    def step1(row: QueryRow) -> _Step1 | _Debiased | dict:
+        """The query resolved and ranked for step 2 (finished if skipped), or
+        its error entry."""
         try:
             resolved = resolve_query(row, space, index, cfg)
-            reports, subsets = run_query_reports(resolved, index, space, cfg)
-            finals = [normalize(reports[mode].final) for mode in cfg.modes]
-            return _Debiased(resolved, reports, subsets, finals)
+            if resolved.skipped:
+                return finished(resolved, *run_query_reports(resolved, index, space, cfg))
+            matrix = build_attribute_matrix(
+                resolved.embedding, resolved.augmented, resolved.generic
+            )
+            return _Step1(resolved, matrix, orthogonalize(resolved.embedding, matrix))
         except BendError as exc:
             return failed(row, exc)
+
+    def debiased(first: _Step1, column: np.ndarray) -> _Debiased | dict:
+        """The query debiased in every mode, its subsets read off ``column``."""
+        try:
+            subsets, certified = relevant_subsets(reference, partition, column, cfg.n)
+            if not certified:
+                subsets = top_n_by_attribute(index, first.ranking, space, cfg.n)
+            reports = {
+                mode: debias(first.resolved.embedding, first.matrix, subsets, mode)
+                for mode in cfg.modes
+            }
+            return finished(first.resolved, reports, subsets)
+        except BendError as exc:
+            return failed(first.resolved.row, exc)
 
     def scored(done: _Debiased, columns: Sequence[np.ndarray]) -> dict:
         resolved, subsets = done.resolved, done.subsets
         row = resolved.row
-        positive = None if row.class_label is None else classes == row.class_label
+        # A class the target lacks matches no row, so every fold AUC is None.
+        code = class_codes.get(row.class_label, -1)
+        positive = None if row.class_label is None else class_of == code
         try:
             return {
                 "id": row.id,
@@ -541,7 +546,11 @@ def evaluate(
     per_block = max(1, SCORE_BLOCK_COLUMNS // len(cfg.modes))
     gemm = True
     for start in range(0, len(queries), per_block):
-        block = [debiased(row) for row in queries[start : start + per_block]]
+        firsts = [step1(row) for row in queries[start : start + per_block]]
+        # As top_n_by_attribute normalizes; orthogonalize's unit vectors cannot fail.
+        units = [normalize(f.ranking) for f in firsts if isinstance(f, _Step1)]
+        ranked = iter(np.stack(units) @ reference.vectors.T if units else ())
+        block = [debiased(f, next(ranked)) if isinstance(f, _Step1) else f for f in firsts]
         finals = [f for d in block if isinstance(d, _Debiased) for f in d.finals]
         if gemm:
             columns, rescored = _score_columns(target.vectors, finals)

@@ -7,13 +7,14 @@ break by ascending record id so runs are reproducible across platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .augment import AttributeSpace
-from .dataset import LabeledEmbeddingTable
+from .dataset import UNIT_NORM_TOL, LabeledEmbeddingTable
 from .errors import ConfigError, DimensionMismatch, EmptyGroup, UnknownLabel
 from .vectors import Vector, as_vector, normalize
 
@@ -106,10 +107,42 @@ def top_rows(
     return rows[np.lexsort((table.id_rank[rows], -candidates))[:limit]]
 
 
+def _score_error_bound(dim: int) -> float:
+    """The most two float64 evaluations of one score can differ by: 2γ·‖t‖·‖q‖
+    (README, "Evaluation protocol"), widened for norm tolerance, rounding and underflow."""
+    u = np.finfo(np.float64).eps / 2
+    gamma = dim * u / (1 - dim * u)
+    norms = math.sqrt(1 + UNIT_NORM_TOL) * (1 + 4 * gamma + 16 * u)
+    return 2 * gamma * norms + 2 * dim * np.finfo(np.float64).smallest_subnormal
+
+
+def _order_certified(column: np.ndarray, dim: int) -> bool:
+    """Whether every evaluation of ``column``'s scores orders its rows this way."""
+    return bool(np.all(np.diff(np.sort(column)) > 2 * _score_error_bound(dim)))
+
+
+def relevant_subsets(
+    table: LabeledEmbeddingTable, partition: dict[str, np.ndarray], scores: np.ndarray, n: int
+) -> tuple[RelevantSubsets, bool]:
+    """Each value's n best ``partition`` rows by ``scores``, and whether each value's
+    top n + 1 (whole group when smaller) is order-certified, as any evaluation of
+    the scores must then pick the same rows in the same order."""
+    tops = {}
+    for value, members in partition.items():
+        if members.size == 0:
+            raise EmptyGroup(f"attribute value {value!r} has no reference records")
+        tops[value] = top_rows(table, scores, members, n + 1)
+    subsets = RelevantSubsets(
+        indices={value: tuple(top[:n].tolist()) for value, top in tops.items()},
+        means={value: table.vectors[top[:n]].mean(axis=0) for value, top in tops.items()},
+    )
+    return subsets, all(_order_certified(scores[top], table.dim) for top in tops.values())
+
+
 def top_n_by_attribute(
     index: ReferenceIndex, query, space: AttributeSpace, n: int
 ) -> RelevantSubsets:
-    """The n records per attribute value most similar to the query.
+    """The n records per attribute value most similar to the query, by GEMV.
 
     Groups smaller than n are used whole. Raises ``EmptyGroup`` when a value
     has no records at all, since equalization then has nothing to balance.
@@ -117,17 +150,7 @@ def top_n_by_attribute(
     if n < 1:
         raise ConfigError("n must be at least 1")
     partition = index.partition(space.name)
-    rows = index.table.vectors
-    scores = rows @ normalize(query)
-    indices: dict[str, tuple[int, ...]] = {}
-    means: dict[str, Vector] = {}
-    for value, members in partition.items():
-        if members.size == 0:
-            raise EmptyGroup(f"attribute value {value!r} has no reference records")
-        chosen = top_rows(index.table, scores, members, n)
-        indices[value] = tuple(chosen.tolist())
-        means[value] = rows[chosen].mean(axis=0)
-    return RelevantSubsets(indices=indices, means=means)
+    return relevant_subsets(index.table, partition, index.table.vectors @ normalize(query), n)[0]
 
 
 def retrieve_top_k(table: LabeledEmbeddingTable, query, k: int) -> list[Retrieved]:

@@ -4,8 +4,11 @@
 must equal a separate ``top_rows`` over each fold's own pool; ``_group_auc``
 ranks by searching the sorted scores and must equal counting pairs.
 ``_score_columns`` scores finals with one GEMM and must order every column as
-its GEMV does. An ``evaluate`` entry must not depend on which other queries or
-modes ran, and its counts and metrics must survive a rotation of every vector.
+its GEMV does. ``evaluate`` reads relevant subsets off one reference GEMM per
+block where certified, and its report must not change when every query is
+ranked by ``top_n_by_attribute``'s GEMV instead. An ``evaluate`` entry must not
+depend on which other queries or modes ran, and its counts and metrics must
+survive a rotation of every vector.
 """
 
 import dataclasses
@@ -24,13 +27,17 @@ from bend.pipeline import (
     SCORE_BLOCK_COLUMNS,
     RunConfig,
     _fold_tops,
-    _order_certified,
     _score_columns,
-    _score_error_bound,
     evaluate,
     parse_query_row,
 )
-from bend.reference_index import top_rows
+from bend.reference_index import (
+    _order_certified,
+    _score_error_bound,
+    relevant_subsets,
+    top_n_by_attribute,
+    top_rows,
+)
 from bend.reporting import dumps
 from bend.vectors import normalize
 from test_metrics import brute_force_auc
@@ -294,6 +301,65 @@ def test_a_target_of_duplicate_rows_is_scored_by_the_gemv_after_one_block(
     # Every duplicate pair ties, so the first block rescores all 12 of its
     # finals (one of its queries failed) and the second block skips the GEMM.
     assert calls == [(12, 12)]
+    assert_entries_stand_alone(queries, reference, target, cfg)
+
+
+def count_gemv_rankings(monkeypatch):
+    """Record ``n`` for every reference ranking ``evaluate`` leaves to the GEMV."""
+    calls = []
+
+    def counted(index, query, space, n):
+        calls.append(n)
+        return top_n_by_attribute(index, query, space, n)
+
+    monkeypatch.setattr(pipeline, "top_n_by_attribute", counted)
+    return calls
+
+
+def gemv_report(monkeypatch, *args):
+    """``evaluate`` with every relevant subset ranked by the GEMV."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "relevant_subsets",
+                      lambda *a: (relevant_subsets(*a)[0], False))
+        return dumps(evaluate(*args))
+
+
+def duplicated(table):
+    """``table`` with every row twice: each pair ties under any evaluation."""
+    return dataclasses.replace(
+        table,
+        vectors=np.concatenate([table.vectors, table.vectors]),
+        ids=table.ids + tuple(f"dup-{i}" for i in table.ids),
+        attributes={"gender": table.attributes["gender"] * 2},
+        classes=table.classes * 2,
+    )
+
+
+def test_evaluate_picks_relevant_subsets_off_the_reference_gemm(monkeypatch):
+    rng = np.random.default_rng(17)
+    reference = continuous_table(rng, 60, 8, "ref")
+    target = continuous_table(rng, 70, 8, "tgt")
+    queries = block_queries(rng, 8)
+    cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
+    calls = count_gemv_rankings(monkeypatch)
+    report = dumps(evaluate(queries, reference, target, cfg))
+    assert calls == []
+    assert report == gemv_report(monkeypatch, queries, reference, target, cfg)
+    assert calls == [8] * 5
+
+
+@pytest.mark.parametrize("n", [8, 40], ids=["top-n", "whole-groups"])
+def test_a_reference_of_duplicate_rows_is_ranked_by_the_gemv(monkeypatch, n):
+    rng = np.random.default_rng(19)
+    reference = duplicated(continuous_table(rng, 30, 8, "ref"))
+    target = continuous_table(rng, 70, 8, "tgt")
+    queries = block_queries(rng, 8)
+    cfg = RunConfig(attribute="gender", n=n, k=15, seed=3, fold_count=3)
+    calls = count_gemv_rankings(monkeypatch)
+    report = dumps(evaluate(queries, reference, target, cfg))
+    # Each of the five queries that resolve falls back once, in its own block.
+    assert calls == [n] * 5
+    assert report == gemv_report(monkeypatch, queries, reference, target, cfg)
     assert_entries_stand_alone(queries, reference, target, cfg)
 
 

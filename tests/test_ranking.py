@@ -6,13 +6,18 @@ ranks with ``sorted`` by (descending score, ascending id) and scores AUC by
 counting pairs, which is the documented contract of all three rankings.
 """
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bend import pipeline
 from bend.augment import GENDER
 from bend.dataset import LabeledEmbeddingTable, make_folds
+from bend.equalize import debias
 from bend.errors import EmptyGroup
 from bend.pipeline import (
     RunConfig,
@@ -27,6 +32,7 @@ from bend.reference_index import (
     top_n_by_attribute,
     top_rows,
 )
+from bend.subspace import orthogonalize
 from bend.vectors import normalize
 from test_metrics import brute_force_auc
 
@@ -159,6 +165,36 @@ def test_top_n_by_attribute_matches_sorted(table, query, n):
         assert list(subsets.indices[value]) == expected
         expected_mean = table.vectors[expected].mean(axis=0)
         assert np.array_equal(subsets.means[value], expected_mean)
+
+
+@settings(max_examples=60)
+@given(tables(), st.lists(grid_vectors, min_size=1, max_size=4), st.integers(1, 12), st.data())
+def test_evaluate_subsets_match_top_n_by_attribute(table, queries, n, data):
+    # Repeated grid rows tie exactly at every rank, the n / n + 1 boundary
+    # included (the GEMV fallback runs), and n runs past small groups. Tilting
+    # rows by a few steps off the grid parts most copies, so certified GEMM
+    # columns occur too.
+    tilt = data.draw(st.lists(st.integers(0, 3), min_size=table.count, max_size=table.count))
+    tilted = table.vectors + np.outer(tilt, np.arange(1, DIM + 1)) / 64
+    table = dataclasses.replace(
+        table, vectors=tilted / np.linalg.norm(tilted, axis=1, keepdims=True)
+    )
+    seen = []
+
+    def recording(query_emb, matrix, subsets, mode):
+        seen.append((query_emb, matrix, subsets))
+        return debias(query_emb, matrix, subsets, mode)
+
+    rows = [parse_query_row({"id": f"q{i}", "vector": v}) for i, v in enumerate(queries)]
+    cfg = RunConfig(attribute="gender", n=n, k=5, modes=("full",), fold_count=2)
+    with mock.patch.object(pipeline, "debias", recording):
+        evaluate(rows, table, table, cfg)
+    index = build_index(table)
+    for query_emb, matrix, got in seen:
+        want = top_n_by_attribute(index, orthogonalize(query_emb, matrix), GENDER, n)
+        assert got.indices == want.indices
+        for value in GENDER.values:
+            assert got.means[value].tobytes() == want.means[value].tobytes()
 
 
 @settings(max_examples=40)

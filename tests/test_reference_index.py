@@ -6,7 +6,9 @@ from bend.augment import GENDER, attribute_space
 from bend.dataset import LabeledEmbeddingTable, SynthCell, SynthSpec, synth_generate
 from bend.errors import ConfigError, EmptyGroup, UnknownLabel
 from bend.reference_index import (
+    _score_error_bound,
     build_index,
+    relevant_subsets,
     retrieve_top_k,
     top_n_by_attribute,
 )
@@ -121,6 +123,46 @@ class TestGroupMeansCache:
         for _ in range(2):
             with pytest.raises(EmptyGroup):
                 index.group_means("gender")
+
+
+# Twice the error bound at d=2: the widest gap the certificate still rejects.
+GAP = 2 * _score_error_bound(2)
+JUST_ABOVE = float(np.nextafter(GAP, 1.0))
+
+
+class TestRelevantSubsetsCertificate:
+    """Each value's top n + 1 scores, or its whole group when it has at most n
+    rows, must be more than ``GAP`` apart; gaps further down do not count.
+    Near ties sit at 0.0, so their gap is exact."""
+
+    @pytest.mark.parametrize(
+        "male, female, n, certified",
+        [
+            pytest.param([1.0, GAP, 0.0, -0.5, -0.6], [-0.9], 2, False, id="rows-n-and-n+1"),
+            pytest.param([1.0, JUST_ABOVE, 0.0, -0.5, -0.6], [-0.9], 2, True,
+                         id="rows-n-and-n+1-just-apart"),
+            pytest.param([GAP, 0.0, -0.5, -0.6, -0.7], [-0.9], 2, False, id="inside-top-n"),
+            pytest.param([1.0, 0.5, 0.0, 0.0, -0.5], [-0.9], 2, True,
+                         id="tie-at-rows-n+1-and-n+2"),
+            pytest.param([1.0, 0.5, 0.0, -0.5, -0.5], [-0.9], 2, True, id="tie-further-down"),
+            pytest.param([1.0, GAP, 0.0], [-0.9], 5, False, id="group-under-n"),
+            pytest.param([1.0, JUST_ABOVE, 0.0], [-0.9], 5, True, id="group-under-n-apart"),
+            pytest.param([1.0, 0.5, GAP, 0.0], [-0.9], 4, False, id="group-of-n"),
+            pytest.param([1.0, 0.5, 0.0], [GAP, 0.0, -0.5], 1, False, id="second-value"),
+            pytest.param([1.0, 0.5, 0.0], [JUST_ABOVE, 0.0, -0.5], 5, True,
+                         id="second-value-apart"),
+        ],
+    )
+    def test_certifies_only_the_top_n_plus_one(self, male, female, n, certified):
+        scores = np.array(male + female)
+        labels = ["male"] * len(male) + ["female"] * len(female)
+        table = table_from_rows([[1.0, i] for i in range(len(labels))], labels)
+        index = build_index(table)
+        subsets, got = relevant_subsets(table, index.partition("gender"), scores, n)
+        assert got is certified
+        for value, members in index.partition("gender").items():
+            ranked = sorted(members.tolist(), key=lambda i: (-scores[i], table.ids[i]))
+            assert list(subsets.indices[value]) == ranked[:n]
 
 
 class TestTopNByAttribute:
