@@ -121,16 +121,15 @@ def cmd_debias(args) -> int:
 
 def cmd_retrieve(args) -> int:
     target = read_dataset(args.target)
-    row = _query_row(args)
-    if row.text is not None:
+    if args.text is not None:
         endpoint = _embed_endpoint(args, target.dim)
         if endpoint is None:
             raise MissingEndpoint(
                 "text queries need --embed-endpoint or BEND_EMBED_ENDPOINT"
             )
-        query = embed_text([row.text], endpoint)[0]
+        query = embed_text([args.text], endpoint)[0]
     else:
-        query = row.vector
+        query = _parse_vector(args.vector)
     retrieved = pipeline.retrieve_top_k(target, query, args.k)
     metric_space = None
     prior = None
@@ -194,8 +193,6 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         "--vector",
         help="query vector: inline JSON array, @FILE, or a path to a JSON array",
     )
-    parser.add_argument("--query-id", default="query", help="id used in the report")
-    parser.add_argument("--query-class", default=None, help="optional class label")
 
 
 def _add_endpoint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -206,9 +203,6 @@ def _add_endpoint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--embed-token", default=None, help="bearer token header")
     parser.add_argument("--embed-timeout-ms", type=int, default=5000)
-    parser.add_argument(
-        "--augment-endpoint", default=None, help="external augmenter URL"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,12 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_debias = sub.add_parser("debias", help="debias one query embedding")
     _add_query_arguments(p_debias)
+    p_debias.add_argument("--query-id", default="query", help="id used in the report")
+    p_debias.add_argument("--query-class", default=None, help="optional class label")
     p_debias.add_argument("--reference", required=True, help="reference manifest")
     p_debias.add_argument("--attribute", required=True)
     p_debias.add_argument("--n", type=int, default=100)
     p_debias.add_argument("--modes", default="full")
     p_debias.add_argument("--out", default=None)
     _add_endpoint_arguments(p_debias)
+    p_debias.add_argument("--augment-endpoint", default=None, help="external augmenter URL")
     p_debias.set_defaults(handler=cmd_debias)
 
     p_retrieve = sub.add_parser("retrieve", help="top-k retrieval over a target")
@@ -262,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--prior", default=None)
     p_eval.add_argument("--out", default=None)
     _add_endpoint_arguments(p_eval)
+    p_eval.add_argument("--augment-endpoint", default=None, help="external augmenter URL")
     p_eval.set_defaults(handler=cmd_evaluate)
 
     return parser

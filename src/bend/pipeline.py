@@ -39,10 +39,10 @@ from .metrics import empirical_distribution, kl_divergence, max_skew, worst_grou
 from .reference_index import (
     ReferenceIndex,
     RelevantSubsets,
-    _order_certified,
     build_index,
     relevant_subsets,
     retrieve_top_k,  # the CLI's retrieve verb calls it through this module
+    score_columns,
     top_n_by_attribute,
     top_rows,
 )
@@ -78,8 +78,11 @@ class RunConfig:
         for mode in self.modes:
             if mode not in MODES:
                 raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-        if self.fold_count < 1:
-            raise ConfigError("fold_count must be at least 1")
+        if len(set(self.modes)) < len(self.modes):
+            raise ConfigError(f"modes {self.modes} name a mode twice")
+        # One fold would withhold the whole target, leaving every pool empty.
+        if self.fold_count < 2:
+            raise ConfigError("fold_count must be at least 2")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -267,6 +270,31 @@ def resolve_query(
     )
 
 
+@dataclass(frozen=True)
+class _Step1:
+    """A resolved query with its attribute matrix and step-1 ranking vector."""
+
+    resolved: ResolvedQuery
+    matrix: AttributeMatrix
+    ranking: Vector
+
+
+def _step1(resolved: ResolvedQuery) -> _Step1:
+    matrix = build_attribute_matrix(resolved.embedding, resolved.augmented, resolved.generic)
+    # Step 2's relevant references are the ones closest to the step-1 query.
+    return _Step1(resolved, matrix, orthogonalize(resolved.embedding, matrix))
+
+
+def _step2(
+    first: _Step1, subsets: RelevantSubsets, cfg: RunConfig
+) -> dict[str, DebiasReport]:
+    """The query debiased in every configured mode against ``subsets``."""
+    return {
+        mode: debias(first.resolved.embedding, first.matrix, subsets, mode)
+        for mode in cfg.modes
+    }
+
+
 def run_query_reports(
     resolved: ResolvedQuery,
     index: ReferenceIndex,
@@ -289,14 +317,9 @@ def run_query_reports(
             for mode in cfg.modes
         }
         return passthrough, None
-    matrix = build_attribute_matrix(resolved.embedding, resolved.augmented, resolved.generic)
-    # Step 2's relevant references are the ones closest to the step-1 query.
-    ranking = orthogonalize(resolved.embedding, matrix)
-    subsets = top_n_by_attribute(index, ranking, space, cfg.n)
-    reports = {
-        mode: debias(resolved.embedding, matrix, subsets, mode) for mode in cfg.modes
-    }
-    return reports, subsets
+    first = _step1(resolved)
+    subsets = top_n_by_attribute(index, first.ranking, space, cfg.n)
+    return _step2(first, subsets, cfg), subsets
 
 
 def resolve_space(
@@ -352,40 +375,23 @@ def _fold_tops(
         limit *= 2
 
 
-def _score_columns(
-    vectors: np.ndarray, finals: Sequence[Vector]
-) -> tuple[list[np.ndarray], int]:
-    """A score column for each unit final, ordering rows as ``vectors @ final`` does:
-    one GEMM's column where its whole order is certified, else that GEMV. Also
-    returns how many were rescored."""
-    if not finals:
-        return [], 0
-    block = np.stack(finals) @ vectors.T
-    certified = [_order_certified(column, vectors.shape[1]) for column in block]
-    columns = [
-        column if ok else vectors @ final
-        for final, column, ok in zip(finals, block, certified)
-    ]
-    return columns, certified.count(False)
-
-
-@dataclass(frozen=True)
-class _Step1:
-    """A resolved query with its attribute matrix and step-1 ranking vector."""
-
-    resolved: ResolvedQuery
-    matrix: AttributeMatrix
-    ranking: Vector
-
-
 @dataclass(frozen=True)
 class _Debiased:
-    """A query debiased in every configured mode, with its unit finals."""
+    """A query debiased in every configured mode."""
 
     resolved: ResolvedQuery
     reports: dict[str, DebiasReport]
     subsets: RelevantSubsets | None
-    finals: list[np.ndarray]
+
+
+def _fold_summary(folds: Sequence[dict]) -> dict:
+    """Summary stats of the folds' KL, MaxSkew and defined AUCs; None where no
+    fold has a value."""
+    summary = {}
+    for metric in ("kl", "max_skew", "worst_group_auc"):
+        values = [fold[metric] for fold in folds if fold[metric] is not None]
+        summary[metric] = summary_stats(values) if values else None
+    return summary
 
 
 def _mode_entry(
@@ -404,29 +410,21 @@ def _mode_entry(
     codes = target.codes[space.name]
     tops = _fold_tops(target, scores, fold_of, len(held_out), cfg.k)
     folds_out = []
-    kls, skews, aucs = [], [], []
     for fold_idx, ((pool_size, fold_groups), top) in enumerate(zip(held_out, tops)):
         counts = np.bincount(codes[top], minlength=len(space.values))
         distribution = empirical_distribution(counts, space)
-        kl = kl_divergence(distribution, prior)
-        skew = max_skew(distribution, prior)
-        auc = _fold_auc(fold_groups, scores, positive)
         entry = {
             "fold": fold_idx,
             "pool_size": pool_size,
             "retrieved": top.size,
             "retrieved_counts": dict(zip(space.values, counts.tolist())),
-            "kl": kl,
-            "max_skew": skew,
-            "worst_group_auc": auc,
+            "kl": kl_divergence(distribution, prior),
+            "max_skew": max_skew(distribution, prior),
+            "worst_group_auc": _fold_auc(fold_groups, scores, positive),
         }
         if cfg.k > pool_size:
             entry["warning"] = "k exceeds pool size; retrieved the whole pool"
         folds_out.append(entry)
-        kls.append(kl)
-        skews.append(skew)
-        if auc is not None:
-            aucs.append(auc)
     return {
         "distance_gap": report.distance_gap,
         "lambda": report.lam,
@@ -435,9 +433,7 @@ def _mode_entry(
         ),
         "dropped_columns": report.dropped_columns,
         "folds": folds_out,
-        "kl": summary_stats(kls),
-        "max_skew": summary_stats(skews),
-        "worst_group_auc": summary_stats(aucs) if aucs else None,
+        **_fold_summary(folds_out),
     }
 
 
@@ -451,10 +447,10 @@ def evaluate(
     """Run every configured mode over every query and aggregate fold metrics.
 
     Per-query failures become error entries rather than aborting the run.
-    Queries run in blocks of at most ``SCORE_BLOCK_COLUMNS`` finals: one GEMM
-    ranks the reference for the block's step-1 queries, where certified, and
-    ``_score_columns`` scores its finals. The returned dict is ready for
-    deterministic serialization.
+    Queries run in blocks of at most ``SCORE_BLOCK_COLUMNS`` finals, each block
+    on its own: one GEMM ranks the reference for the block's step-1 queries,
+    where certified, and ``score_columns`` scores its finals. The returned
+    dict is ready for deterministic serialization.
     """
     if reference.dim != target.dim:
         raise DimensionMismatch(
@@ -484,23 +480,14 @@ def evaluate(
     def failed(row: QueryRow, exc: BendError) -> dict:
         return {"id": row.id, "error": f"{type(exc).__name__}: {exc}"}
 
-    def finished(
-        resolved: ResolvedQuery, reports: dict[str, DebiasReport], subsets: RelevantSubsets | None
-    ) -> _Debiased:
-        finals = [normalize(reports[mode].final) for mode in cfg.modes]
-        return _Debiased(resolved, reports, subsets, finals)
-
     def step1(row: QueryRow) -> _Step1 | _Debiased | dict:
-        """The query resolved and ranked for step 2 (finished if skipped), or
+        """The query resolved and ranked for step 2 (debiased if skipped), or
         its error entry."""
         try:
             resolved = resolve_query(row, space, index, cfg)
             if resolved.skipped:
-                return finished(resolved, *run_query_reports(resolved, index, space, cfg))
-            matrix = build_attribute_matrix(
-                resolved.embedding, resolved.augmented, resolved.generic
-            )
-            return _Step1(resolved, matrix, orthogonalize(resolved.embedding, matrix))
+                return _Debiased(resolved, *run_query_reports(resolved, index, space, cfg))
+            return _step1(resolved)
         except BendError as exc:
             return failed(row, exc)
 
@@ -510,11 +497,7 @@ def evaluate(
             subsets, certified = relevant_subsets(reference, partition, column, cfg.n)
             if not certified:
                 subsets = top_n_by_attribute(index, first.ranking, space, cfg.n)
-            reports = {
-                mode: debias(first.resolved.embedding, first.matrix, subsets, mode)
-                for mode in cfg.modes
-            }
-            return finished(first.resolved, reports, subsets)
+            return _Debiased(first.resolved, _step2(first, subsets, cfg), subsets)
         except BendError as exc:
             return failed(first.resolved.row, exc)
 
@@ -544,48 +527,31 @@ def evaluate(
 
     entries = []
     per_block = max(1, SCORE_BLOCK_COLUMNS // len(cfg.modes))
-    gemm = True
     for start in range(0, len(queries), per_block):
         firsts = [step1(row) for row in queries[start : start + per_block]]
         # As top_n_by_attribute normalizes; orthogonalize's unit vectors cannot fail.
         units = [normalize(f.ranking) for f in firsts if isinstance(f, _Step1)]
         ranked = iter(np.stack(units) @ reference.vectors.T if units else ())
         block = [debiased(f, next(ranked)) if isinstance(f, _Step1) else f for f in firsts]
-        finals = [f for d in block if isinstance(d, _Debiased) for f in d.finals]
-        if gemm:
-            columns, rescored = _score_columns(target.vectors, finals)
-            # A block rescored whole means near-duplicate rows: stop the GEMM.
-            gemm = not finals or rescored < len(finals)
-        else:
-            columns = [target.vectors @ final for final in finals]
-        at = 0
-        for done in block:
-            if isinstance(done, dict):
-                entries.append(done)
-                continue
-            entries.append(scored(done, columns[at : at + len(done.finals)]))
-            at += len(done.finals)
+        # Every final is a unit vector already, so normalizing it cannot fail.
+        finals = [
+            normalize(d.reports[mode].final)
+            for d in block if isinstance(d, _Debiased) for mode in cfg.modes
+        ]
+        columns = iter(score_columns(target.vectors, finals))
+        entries.extend(
+            d if isinstance(d, dict) else scored(d, [next(columns) for _ in cfg.modes])
+            for d in block
+        )
 
-    aggregates = {}
-    for mode in cfg.modes:
-        kls, skews, aucs = [], [], []
-        used = 0
-        for entry in entries:
-            if "error" in entry or entry.get("skipped"):
-                continue
-            used += 1
-            mode_entry = entry["modes"][mode]
-            for fold in mode_entry["folds"]:
-                kls.append(fold["kl"])
-                skews.append(fold["max_skew"])
-                if fold["worst_group_auc"] is not None:
-                    aucs.append(fold["worst_group_auc"])
-        aggregates[mode] = {
-            "query_count": used,
-            "kl": summary_stats(kls) if kls else None,
-            "max_skew": summary_stats(skews) if skews else None,
-            "worst_group_auc": summary_stats(aucs) if aucs else None,
+    used = [entry for entry in entries if "error" not in entry and not entry["skipped"]]
+    aggregates = {
+        mode: {
+            "query_count": len(used),
+            **_fold_summary([f for entry in used for f in entry["modes"][mode]["folds"]]),
         }
+        for mode in cfg.modes
+    }
 
     config_echo = {
         "attribute": cfg.attribute,

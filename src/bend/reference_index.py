@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,6 +119,18 @@ def _score_error_bound(dim: int) -> float:
 def _order_certified(column: np.ndarray, dim: int) -> bool:
     """Whether every evaluation of ``column``'s scores orders its rows this way."""
     return bool(np.all(np.diff(np.sort(column)) > 2 * _score_error_bound(dim)))
+
+
+def score_columns(vectors: np.ndarray, finals: Sequence[Vector]) -> list[np.ndarray]:
+    """A score column for each unit final, ordering rows as ``vectors @ final`` does:
+    one GEMM's column where its whole order is certified, else that GEMV."""
+    if not finals:
+        return []
+    block = np.stack(finals) @ vectors.T
+    return [
+        column if _order_certified(column, vectors.shape[1]) else vectors @ final
+        for final, column in zip(finals, block)
+    ]
 
 
 def relevant_subsets(

@@ -388,6 +388,19 @@ class TestBoundaryErrors:
         echo = report["config"] if command == "evaluate" else report
         assert (echo["subset_by"], echo["generic_columns"]) == ("step1", "diff")
 
+    def test_retrieve_takes_no_query_id_class_or_augmenter(self, ref_target, tmp_path):
+        _, target = ref_target
+        args = ["retrieve", "--vector", json.dumps([1.0] + [0.0] * 15),
+                "--target", str(target), "--k", "10"]
+        out = tmp_path / "report.json"
+        for flag in ("--query-id", "--query-class", "--augment-endpoint"):
+            proc = run_module(*args, flag, "x", "--out", str(out))
+            assert proc.returncode == 2
+            assert "unrecognized arguments" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert not out.exists()
+        assert main([*args, "--out", str(out)]) == 0
+
     def test_wrong_dimension_vector_exits_5(self, ref_target):
         _, target = ref_target
         proc = run_module("retrieve", "--vector", "[1.0, 0.0]", "--target", str(target))
@@ -569,6 +582,25 @@ class TestBoundaryErrors:
         assert proc.returncode == 2
         assert "ConfigError" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--folds", "1"), ("--modes", "full,full")],
+        ids=["one-fold", "repeated-mode"],
+    )
+    def test_unusable_evaluate_config_exits_2(
+        self, ref_target, synth_dataset, tmp_path, flag, value
+    ):
+        ref, target = ref_target
+        out = tmp_path / "eval.json"
+        proc = run_module(
+            "evaluate", str(synth_dataset / QUERIES_NAME), "--reference", str(ref),
+            "--target", str(target), "--attribute", "gender", flag, value,
+            "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert "ConfigError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists() and not out.with_suffix(".csv").exists()
 
     def test_negative_synth_seed_exits_2(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -3,10 +3,11 @@
 ``_fold_tops`` reads every fold's top-k off one ranking of a score column and
 must equal a separate ``top_rows`` over each fold's own pool; ``_group_auc``
 ranks by searching the sorted scores and must equal counting pairs.
-``_score_columns`` scores finals with one GEMM and must order every column as
+``score_columns`` scores finals with one GEMM and must order every column as
 its GEMV does. ``evaluate`` reads relevant subsets off one reference GEMM per
 block where certified, and its report must not change when every query is
-ranked by ``top_n_by_attribute``'s GEMV instead. An ``evaluate`` entry must not
+ranked by ``top_n_by_attribute``'s GEMV instead, or when every GEMM column is
+rejected, reference and target alike. An ``evaluate`` entry must not
 depend on which other queries or modes ran, and its counts and metrics must
 survive a rotation of every vector.
 """
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bend import pipeline
+from bend import pipeline, reference_index
 from bend.augment import GENDER
 from bend.dataset import LabeledEmbeddingTable
 from bend.equalize import MODES
@@ -27,7 +28,6 @@ from bend.pipeline import (
     SCORE_BLOCK_COLUMNS,
     RunConfig,
     _fold_tops,
-    _score_columns,
     evaluate,
     parse_query_row,
 )
@@ -35,6 +35,7 @@ from bend.reference_index import (
     _order_certified,
     _score_error_bound,
     relevant_subsets,
+    score_columns,
     top_n_by_attribute,
     top_rows,
 )
@@ -165,7 +166,7 @@ def test_score_columns_order_rows_as_the_gemv_on_tied_tables(table, queries, dat
     positive = np.array([c == CLASSES[0] for c in table.classes])
     codes = table.codes["gender"]
     rows = np.arange(table.count)
-    columns, _ = _score_columns(table.vectors, finals)
+    columns = score_columns(table.vectors, finals)
     assert len(columns) == len(finals)
     for final, column in zip(finals, columns):
         gemv = table.vectors @ final
@@ -207,8 +208,7 @@ def test_score_columns_keep_every_gemm_column_of_a_continuous_table():
     finals = list(unit_rows(rng, SCORE_BLOCK_COLUMNS, 64))
     block = np.stack(finals) @ vectors.T
     assert all(_order_certified(column, 64) for column in block)
-    columns, rescored = _score_columns(vectors, finals)
-    assert rescored == 0
+    columns = score_columns(vectors, finals)
     for column, gemm in zip(columns, block):
         assert np.array_equal(column, gemm)
 
@@ -244,15 +244,16 @@ def assert_entries_stand_alone(queries, reference, target, cfg):
 
 
 def count_score_blocks(monkeypatch):
-    """Record (finals, rescored) for every block ``evaluate`` scores by GEMM."""
+    """Record (finals, rescored) for every block ``evaluate`` scores."""
     calls = []
 
     def counted(vectors, finals):
-        columns, rescored = _score_columns(vectors, finals)
+        block = np.stack(finals) @ vectors.T if finals else ()
+        rescored = sum(not _order_certified(column, vectors.shape[1]) for column in block)
         calls.append((len(finals), rescored))
-        return columns, rescored
+        return score_columns(vectors, finals)
 
-    monkeypatch.setattr(pipeline, "_score_columns", counted)
+    monkeypatch.setattr(pipeline, "score_columns", counted)
     return calls
 
 
@@ -281,7 +282,7 @@ def test_a_block_of_failed_queries_keeps_the_gemm(monkeypatch):
     assert calls == [(0, 0), (8, 0)]
 
 
-def test_a_target_of_duplicate_rows_is_scored_by_the_gemv_after_one_block(
+def test_a_target_of_duplicate_rows_is_rescored_by_the_gemv_in_every_block(
     monkeypatch,
 ):
     rng = np.random.default_rng(12)
@@ -298,9 +299,9 @@ def test_a_target_of_duplicate_rows_is_scored_by_the_gemv_after_one_block(
     cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
     queries = block_queries(rng, 8)
     evaluate(queries, reference, target, cfg)
-    # Every duplicate pair ties, so the first block rescores all 12 of its
-    # finals (one of its queries failed) and the second block skips the GEMM.
-    assert calls == [(12, 12)]
+    # Every duplicate pair ties, so each block rescores all of its finals: 12
+    # in the first (one of its queries failed) and 8 in the second.
+    assert calls == [(12, 12), (8, 8)]
     assert_entries_stand_alone(queries, reference, target, cfg)
 
 
@@ -361,6 +362,20 @@ def test_a_reference_of_duplicate_rows_is_ranked_by_the_gemv(monkeypatch, n):
     assert calls == [n] * 5
     assert report == gemv_report(monkeypatch, queries, reference, target, cfg)
     assert_entries_stand_alone(queries, reference, target, cfg)
+
+
+def test_evaluate_report_is_unchanged_when_every_gemm_column_is_rejected(monkeypatch):
+    rng = np.random.default_rng(23)
+    reference = continuous_table(rng, 60, 8, "ref")
+    target = continuous_table(rng, 70, 8, "tgt")
+    queries = block_queries(rng, 8)
+    assert len(queries) * len(MODES) > SCORE_BLOCK_COLUMNS
+    cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
+    report = dumps(evaluate(queries, reference, target, cfg))
+    calls = count_gemv_rankings(monkeypatch)
+    monkeypatch.setattr(reference_index, "_order_certified", lambda column, dim: False)
+    assert dumps(evaluate(queries, reference, target, cfg)) == report
+    assert calls == [8] * 5
 
 
 def rotated(query, rotation):

@@ -360,6 +360,8 @@ class TestRunConfigValidation:
             {"attribute": "gender", "modes": ()},
             {"attribute": "gender", "modes": ("sideways",)},
             {"attribute": "gender", "fold_count": 0},
+            {"attribute": "gender", "fold_count": 1},
+            {"attribute": "gender", "modes": ("full", "full")},
         ],
     )
     def test_rejects(self, kwargs):
