@@ -32,6 +32,7 @@ from bend.dataset import (
     write_dataset,
     write_query_rows,
 )
+from bend.errors import BendError
 from bend.pipeline import RunConfig, aggregate_csv_lines, evaluate, load_queries
 from bend.reporting import dumps
 
@@ -75,7 +76,22 @@ def main() -> int:
     parser.add_argument("--k", type=int, default=500)
     parser.add_argument("--folds", type=int, default=5)
     args = parser.parse_args()
+    try:
+        return run(args)
+    except BendError as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return exc.exit_code
 
+
+def run(args) -> int:
+    # Every setting is checked before the first file is written.
+    cfg = RunConfig(
+        attribute="gender",
+        n=args.n,
+        k=args.k,
+        seed=args.split_seed,
+        fold_count=args.folds,
+    )
     spec = build_spec(args)
     table = synth_generate(spec)
     reference, target = split_reference_target(
@@ -91,13 +107,6 @@ def main() -> int:
     target = read_dataset(out_dir / "target" / MANIFEST_NAME)
     queries = load_queries(out_dir / QUERIES_NAME)
 
-    cfg = RunConfig(
-        attribute="gender",
-        n=args.n,
-        k=args.k,
-        seed=args.split_seed,
-        fold_count=args.folds,
-    )
     started = time.perf_counter()
     report = evaluate(
         queries,

@@ -9,13 +9,16 @@ type, dimension and finiteness, and returned vectors are unit-normalized.
 
 from __future__ import annotations
 
+import json
 import time
+import urllib.request
 from dataclasses import dataclass
+from http.client import HTTPException
 from typing import Sequence
+from urllib.error import HTTPError
+from urllib.parse import urlsplit
 
 import numpy as np
-
-import requests
 
 from .errors import (
     ConfigError,
@@ -28,6 +31,20 @@ from .errors import (
 from .vectors import ZERO_NORM_EPS, Vector, number_vector
 
 RETRY_BACKOFF_SECONDS = 0.25
+
+# http and https only: no file, data or ftp handler, and no redirect handler,
+# so a 3xx reply is an HTTPError like a 4xx. ProxyHandler reads the proxy
+# variables once, here. Each call opens one connection (``Connection: close``).
+_OPENER = urllib.request.OpenerDirector()
+for _handler in (
+    urllib.request.ProxyHandler(),
+    urllib.request.UnknownHandler(),
+    urllib.request.HTTPHandler(),
+    urllib.request.HTTPSHandler(),
+    urllib.request.HTTPErrorProcessor(),
+    urllib.request.HTTPDefaultErrorHandler(),
+):
+    _OPENER.add_handler(_handler)
 
 
 @dataclass(frozen=True)
@@ -60,29 +77,42 @@ def post_json(
 ) -> dict:
     """POST ``payload`` as JSON and return the JSON object the service sent back.
 
+    A URL that does not parse as http or https is refused before any I/O.
     Connection errors, timeouts and 5xx responses are retried, up to
-    ``attempts`` tries in all, after ``RETRY_BACKOFF_SECONDS``; a 4xx fails at
-    once, since resending cannot help. Both end in ``ProviderUnavailable``.
-    A body that is not a JSON object raises ``MalformedResponse``.
+    ``attempts`` tries in all, after ``RETRY_BACKOFF_SECONDS``; any other
+    non-2xx reply, 3xx included, fails at once, since resending cannot help.
+    All three end in ``ProviderUnavailable``. A body that is not a JSON object
+    raises ``MalformedResponse``.
     """
+    try:
+        scheme = urlsplit(url).scheme
+    except ValueError:  # e.g. an unclosed "[" in the host
+        scheme = None
+    if scheme not in ("http", "https"):
+        raise ProviderUnavailable(f"service unreachable: {url!r} is not a valid http(s) URL")
+    data = json.dumps(payload).encode()
+    headers = {"Content-Type": "application/json", **(headers or {})}
     last_error: Exception | None = None
     for attempt in range(attempts):
         if attempt:
             time.sleep(RETRY_BACKOFF_SECONDS)
         try:
-            response = requests.post(url, json=payload, timeout=timeout, headers=headers)
-            response.raise_for_status()
+            # A fresh Request per try: ProxyHandler rewrites the one it routes.
+            request = urllib.request.Request(url, data, headers, method="POST")
+            with _OPENER.open(request, timeout=timeout) as response:
+                raw = response.read()
             break
-        except requests.HTTPError as exc:
-            if exc.response.status_code < 500:
+        except HTTPError as exc:
+            exc.close()
+            if exc.code < 500:
                 raise ProviderUnavailable(f"request rejected: {exc}") from None
             last_error = exc
-        except requests.RequestException as exc:
+        except (OSError, HTTPException, ValueError) as exc:
             last_error = exc
     else:
         raise ProviderUnavailable(f"service unreachable: {last_error}")
     try:
-        body = response.json()
+        body = json.loads(raw)
     except (ValueError, RecursionError):
         raise MalformedResponse(f"{url} returned a non-JSON body") from None
     if not isinstance(body, dict):

@@ -35,12 +35,14 @@ def is_number(value) -> bool:
 def number_vector(
     values, what: str, invalid: type[BendError], non_finite: type[BendError]
 ) -> Vector:
-    """The decoded JSON array ``values`` as a finite float64 vector. An element
-    that fails ``is_number`` (numpy reads ``"1"`` and ``true`` as 1.0) or is too
-    large for a float64 raises ``invalid``; a NaN or infinity ``non_finite``."""
+    """The decoded JSON array ``values`` as a finite float64 vector. Anything
+    but a list, an element that fails ``is_number`` (numpy reads ``"1"`` and
+    ``true`` as 1.0) or one too large for a float64 raises ``invalid``; a NaN or
+    infinity ``non_finite``."""
     try:
-        vector = as_vector(values) if all(map(is_number, values)) else None
-    except (TypeError, OverflowError):  # not iterable, or too large for a float64
+        is_array = isinstance(values, list) and all(map(is_number, values))
+        vector = as_vector(values) if is_array else None
+    except OverflowError:  # an integer too large for a float64
         vector = None
     if vector is None:
         raise invalid(f"{what} is not a list of numbers")

@@ -66,3 +66,4 @@ def embed_stub():
     yield start
     for server in servers:
         server.shutdown()
+        server.server_close()

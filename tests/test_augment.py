@@ -176,6 +176,7 @@ def augment_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/augment"
     server.shutdown()
+    server.server_close()
 
 
 class TestExternalAugmenter:

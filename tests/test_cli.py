@@ -21,15 +21,20 @@ from bend.augment import GENDER
 ROOT = Path(__file__).parent.parent
 
 
-def run_module(*args: str) -> subprocess.CompletedProcess:
-    """``python -m bend ARGS`` from the repository root, in a fresh process."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python ARGS`` from the repository root, in a fresh process."""
     return subprocess.run(
-        [sys.executable, "-m", "bend", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin:/usr/local/bin"},
     )
+
+
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m bend ARGS`` from the repository root, in a fresh process."""
+    return run_python("-m", "bend", *args)
 
 
 def synth_spec_body(dim=16, seed=42, with_queries=True):
@@ -292,6 +297,23 @@ class TestModuleInvocation:
         proc = run_module("--help")
         assert proc.returncode == 0
         assert "synth" in proc.stdout and "evaluate" in proc.stdout
+
+    def test_http_client_is_the_standard_library(self):
+        proc = run_python(
+            "-c", "import bend.cli, sys; assert 'requests' not in sys.modules"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_synthetic_eval_script_rejects_settings_before_writing(self, tmp_path):
+        out_dir = tmp_path / "out"
+        proc = run_python(
+            "scripts/run_synthetic_eval.py", "--records", "600", "--dim", "16",
+            "--folds", "1", "--out-dir", str(out_dir),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ConfigError")
+        assert "Traceback" not in proc.stderr
+        assert not out_dir.exists()
 
 
 class TestBoundaryErrors:

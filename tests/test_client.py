@@ -1,11 +1,14 @@
+import gc
+import io
 import json
 import threading
+import urllib.parse
 import warnings
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.error import HTTPError, URLError
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -38,9 +41,26 @@ BAD_ROWS = {
 class _EmbedHandler(BaseHTTPRequestHandler):
     behavior = "ok"
     calls = 0
+    request_headers = None
+    # Set when the test ends, so a "slow" handler stops waiting.
+    release = threading.Event()
 
     def do_POST(self):
         type(self).calls += 1
+        type(self).request_headers = self.headers
+        if self.behavior == "slow":
+            self.release.wait(10)
+            return
+        if self.behavior == "redirect":
+            self.send_response(302)
+            self.send_header("Location", self.path)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        if self.behavior == "unavailable":
+            self.send_response(503)
+            self.end_headers()
+            return
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         texts = body["texts"]
         if self.behavior == "wrong-dim":
@@ -77,14 +97,19 @@ class _EmbedHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def embed_server():
-    server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
+    server.daemon_threads = True
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _EmbedHandler.calls = 0
+    _EmbedHandler.request_headers = None
+    _EmbedHandler.release.clear()
     yield EmbeddingEndpoint(
         url=f"http://127.0.0.1:{server.server_port}/embed", expected_dim=DIM
     )
+    _EmbedHandler.release.set()
     server.shutdown()
+    server.server_close()
 
 
 class TestEmbedText:
@@ -144,6 +169,60 @@ class TestEmbedText:
         with pytest.raises(EmptyQuery):
             embed_text([], embed_server)
 
+    def test_sends_json_and_bearer_token(self, embed_server):
+        _EmbedHandler.behavior = "ok"
+        endpoint = EmbeddingEndpoint(url=embed_server.url, expected_dim=DIM, token="s3cret")
+        embed_text(["x"], endpoint)
+        assert _EmbedHandler.request_headers["Authorization"] == "Bearer s3cret"
+        assert _EmbedHandler.request_headers["Content-Type"] == "application/json"
+
+    def test_timeout_retried_once(self, embed_server):
+        _EmbedHandler.behavior = "slow"
+        endpoint = EmbeddingEndpoint(url=embed_server.url, expected_dim=DIM, timeout_ms=200)
+        with pytest.raises(ProviderUnavailable) as excinfo:
+            embed_text(["x"], endpoint)
+        assert excinfo.value.exit_code == 4
+        assert _EmbedHandler.calls == 2
+
+    def test_redirect_not_followed(self, embed_server):
+        _EmbedHandler.behavior = "redirect"
+        with pytest.raises(ProviderUnavailable) as excinfo:
+            embed_text(["x"], embed_server)
+        assert excinfo.value.exit_code == 4
+        assert str(excinfo.value).startswith("request rejected")
+        assert _EmbedHandler.calls == 1
+
+    @pytest.mark.parametrize("behavior", ["bad-request", "unavailable"])
+    def test_error_replies_leave_no_open_socket(self, embed_server, behavior):
+        _EmbedHandler.behavior = behavior
+        gc.collect()  # sockets other tests left behind warn here, not below
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ProviderUnavailable):
+                embed_text(["x"], embed_server)
+            gc.collect()
+        assert not [w.message for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("kind", ["file", "data", "ftp", "no-scheme", "bad-host"])
+def test_only_http_endpoints_are_called(tmp_path, kind):
+    # A reply both services would accept, so only the refusal makes them fail.
+    reply = json.dumps(
+        {"embeddings": [[1.0] * DIM], "augmented": {v: f"a {v} vet" for v in GENDER.values}}
+    )
+    (tmp_path / "reply.json").write_text(reply)
+    url = {
+        "file": (tmp_path / "reply.json").as_uri(),
+        "data": "data:application/json," + urllib.parse.quote(reply),
+        "ftp": "ftp://127.0.0.1:1/embed",
+        "no-scheme": "localhost:1/embed",
+        "bad-host": "http://[bad/embed",
+    }[kind]
+    with pytest.raises(ProviderUnavailable) as excinfo:
+        embed_text(["x"], EmbeddingEndpoint(url=url, expected_dim=DIM))
+    assert excinfo.value.exit_code == 4
+    assert external_augmenter("a photo of a vet", GENDER, url).source == "template-fallback"
+
 
 # -- any body a service could send ------------------------------------------
 
@@ -191,21 +270,19 @@ def replies(draw, bodies):
     return status, json.dumps(draw(bodies)).encode()
 
 
-def fake_post(script):
-    """A stand-in for ``requests.post`` that plays back ``script`` in order."""
+def fake_open(script):
+    """A stand-in for the client's opener that plays back ``script`` in order."""
     script = iter(script)
 
-    def post(url, json=None, timeout=None, headers=None):
+    def open_(request, timeout=None):
         status, raw = next(script)
         if status is None:
-            raise requests.ConnectionError("connection refused")
-        response = requests.Response()
-        response.status_code = status
-        response._content = raw
-        response.url = url
-        return response
+            raise URLError(ConnectionRefusedError("connection refused"))
+        if status >= 300:
+            raise HTTPError(request.full_url, status, "scripted", None, io.BytesIO(raw))
+        return io.BytesIO(raw)
 
-    return post
+    return open_
 
 
 @given(script=st.lists(replies(embed_bodies), min_size=2, max_size=2))
@@ -214,7 +291,7 @@ def test_embed_text_returns_unit_vectors_or_bend_error(script):
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         patch.setattr(client, "RETRY_BACKOFF_SECONDS", 0)
-        patch.setattr(client.requests, "post", fake_post(script))
+        patch.setattr(client._OPENER, "open", fake_open(script))
         try:
             out = embed_text(["a", "b"], endpoint)
         except BendError as exc:
@@ -231,7 +308,7 @@ def test_embed_text_returns_unit_vectors_or_bend_error(script):
 def test_external_augmenter_never_raises(reply):
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        patch.setattr(client.requests, "post", fake_post([reply]))
+        patch.setattr(client._OPENER, "open", fake_open([reply]))
         out = external_augmenter("a photo of a vet", GENDER, "http://augmenter.test/augment")
     assert out.source in ("external", "template-fallback")
     assert set(out.per_value_texts) == set(GENDER.values)
@@ -241,6 +318,6 @@ def test_external_augmenter_never_raises(reply):
 def test_body_nested_too_deep_is_malformed():
     endpoint = EmbeddingEndpoint(url="http://embedder.test/embed", expected_dim=DIM)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(client.requests, "post", fake_post([(200, b"[" * 100_000)]))
+        patch.setattr(client._OPENER, "open", fake_open([(200, b"[" * 100_000)]))
         with pytest.raises(MalformedResponse):
             embed_text(["a"], endpoint)

@@ -348,6 +348,7 @@ class TestExternalAugmenterWiring:
             assert resolved.augmented_texts["male"] == "external male a photo of a welder"
         finally:
             server.shutdown()
+            server.server_close()
 
 
 class TestRunConfigValidation:

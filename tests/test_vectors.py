@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bend.errors import DimensionMismatch, ZeroVector
+from bend.errors import DimensionMismatch, MalformedResponse, NonFiniteValue, ZeroVector
 from bend.vectors import (
     gram_schmidt,
     normalize,
+    number_vector,
     project_out,
 )
 from cosine import cosine_distance
@@ -22,6 +23,12 @@ def nonzero_vectors(dim):
         .map(np.array)
         .filter(lambda v: np.linalg.norm(v) > 1e-6)
     )
+
+
+@pytest.mark.parametrize("values", ["", "12", {}, {"0": 1.0}, None, 3.0])
+def test_number_vector_rejects_what_is_not_an_array(values):
+    with pytest.raises(MalformedResponse):
+        number_vector(values, "row", MalformedResponse, NonFiniteValue)
 
 
 class TestNormalize:
