@@ -38,7 +38,8 @@ from bend.reporting import dumps
 
 
 def build_spec(args) -> SynthSpec:
-    per_class = args.records // (2 * args.classes)
+    # No class makes no cell, which SynthSpec rejects.
+    per_class = args.records // (2 * max(args.classes, 1))
     remainder = args.records - per_class * 2 * args.classes
     cells = []
     queries = []

@@ -400,7 +400,7 @@ def write_dataset(
     return manifest_path
 
 
-def make_folds(count: int, fold_count: int, seed: int) -> list[list[int]]:
+def make_folds(count: int, fold_count: int, seed: int) -> list[np.ndarray]:
     """Deterministic partition of record positions into near-equal folds."""
     if fold_count < 1:
         raise ConfigError("fold_count must be at least 1")
@@ -408,7 +408,7 @@ def make_folds(count: int, fold_count: int, seed: int) -> list[list[int]]:
         raise TooSmall(f"{count} records cannot form {fold_count} folds")
     rng = np.random.default_rng(seed)
     order = rng.permutation(count)
-    return [chunk.tolist() for chunk in np.array_split(order, fold_count)]
+    return np.array_split(order, fold_count)
 
 
 def split_reference_target(

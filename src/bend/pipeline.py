@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,21 +28,20 @@ from .equalize import MODES, DebiasReport, debias
 from .errors import (
     BendError,
     ConfigError,
-    DegenerateGroup,
     DimensionMismatch,
     DuplicateId,
-    EmptyGroup,
     MetadataError,
     MissingEndpoint,
 )
-from .metrics import empirical_distribution, kl_divergence, max_skew, worst_group_auc
+from .metrics import empirical_distribution, kl_divergence, max_skew, sorted_group_auc
+from .metrics import worst_group_auc  # noqa: F401  (perfbench's span looks it up here)
 from .reference_index import (
     ReferenceIndex,
     RelevantSubsets,
     build_index,
+    order_certified,
     relevant_subsets,
     retrieve_top_k,  # the CLI's retrieve verb calls it through this module
-    score_columns,
     top_n_by_attribute,
     top_rows,
 )
@@ -340,39 +339,92 @@ def resolve_space(
     return space
 
 
-def _fold_auc(
-    groups: dict[str, np.ndarray], scores: np.ndarray, positive: np.ndarray | None
-) -> float | None:
-    """Worst-group AUC over one held-out fold; None when it is undefined."""
-    if positive is None:
-        return None
-    try:
-        return worst_group_auc(
-            {v: (scores[rows], positive[rows]) for v, rows in groups.items() if rows.size}
-        )
-    except (DegenerateGroup, EmptyGroup):
-        return None
+class _FoldLayout(NamedTuple):
+    """The target's rows by held-out (fold, attribute value) group, each group
+    ascending, and per fold the ``rows`` slices of its non-empty groups."""
+
+    fold_of: np.ndarray
+    pool_sizes: list[int]
+    rows: np.ndarray
+    groups: list[list[slice]]
+
+
+def _fold_layout(folds: Sequence[np.ndarray], codes: np.ndarray, values: int) -> _FoldLayout:
+    fold_of = np.empty(codes.size, dtype=np.intp)
+    for f, fold in enumerate(folds):
+        fold_of[fold] = f
+    # A small key makes the stable argsort a radix sort.
+    key = (fold_of * values + codes).astype(np.min_scalar_type(len(folds) * values))
+    ends = np.cumsum(np.bincount(key, minlength=len(folds) * values)).tolist()
+    spans = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+    return _FoldLayout(
+        fold_of, [codes.size - len(fold) for fold in folds], np.argsort(key, kind="stable"),
+        [[g for g in spans[f * values : (f + 1) * values] if g.start < g.stop]
+         for f in range(len(folds))],
+    )
+
+
+def _auc_reads(layout: _FoldLayout, positive: np.ndarray) -> list[list[tuple[slice, np.ndarray]]]:
+    """Per fold, the groups its worst-group AUC reads, each with its positives'
+    positions in it; none where that AUC is undefined (a group of one class)."""
+    reads = []
+    for groups in layout.groups:
+        hits = [np.flatnonzero(positive[layout.rows[g]]) for g in groups]
+        defined = all(0 < h.size < g.stop - g.start for g, h in zip(groups, hits))
+        reads.append(list(zip(groups, hits)) if defined else [])
+    return reads
 
 
 def _fold_tops(
     target: LabeledEmbeddingTable, scores: np.ndarray, fold_of: np.ndarray,
-    fold_count: int, k: int,
-) -> list[np.ndarray]:
-    """Every fold's ``top_rows`` over the rows outside it, read off one ranking.
+    fold_count: int, k: int, certify: bool = False,
+) -> list[np.ndarray] | None:
+    """Every fold's ``top_rows`` over the rows outside it, read off one ranking;
+    with ``certify``, None unless the order that ranking reads is certified.
 
     Rows past the first ``limit`` of the ranking sort after all of them, so a
     fold with k pool rows among them has its exact top-k; ``limit`` doubles
-    until every fold has, or the ranking covers the table.
+    until every fold has, or the ranking covers the table. One row more is
+    ranked, so that a certified gap below row ``limit`` fixes which rows the
+    first ``limit`` are.
     """
     rows = np.arange(scores.shape[0])
     limit = 2 * k
     while True:
-        ranked = top_rows(target, scores, rows, limit)
+        ranked = top_rows(target, scores, rows, limit + 1)
+        if certify and not order_certified(scores[ranked[::-1]], target.dim):
+            return None
+        ranked = ranked[:limit]
         owner = fold_of[ranked]
         tops = [ranked[owner != f][:k] for f in range(fold_count)]
         if limit >= rows.size or all(top.size == k for top in tops):
             return tops
         limit *= 2
+
+
+def _fold_metrics(
+    target: LabeledEmbeddingTable, layout: _FoldLayout, reads: list, scores: np.ndarray,
+    k: int, certify: bool,
+) -> tuple[list[np.ndarray], list[float | None]] | None:
+    """Each fold's top-k rows and worst-group AUC (None where undefined) off one
+    score column; with ``certify``, None unless each order they read, the
+    ranking and every group the AUCs sort, is certified."""
+    tops = _fold_tops(target, scores, layout.fold_of, len(layout.groups), k, certify)
+    if tops is None:
+        return None
+    grouped = scores[layout.rows] if any(reads) else None
+    aucs = []
+    for groups in reads:
+        worst = None
+        for group, hits in groups:
+            group_scores = grouped[group]
+            ordered = np.sort(group_scores)
+            if certify and not order_certified(ordered, target.dim):
+                return None
+            auc = sorted_group_auc(ordered, group_scores[hits])
+            worst = auc if worst is None else min(worst, auc)
+        aucs.append(worst)
+    return tops, aucs
 
 
 @dataclass(frozen=True)
@@ -396,21 +448,17 @@ def _fold_summary(folds: Sequence[dict]) -> dict:
 
 def _mode_entry(
     report: DebiasReport,
-    scores: np.ndarray,
-    held_out: Sequence[tuple[int, dict[str, np.ndarray]]],
-    fold_of: np.ndarray,
+    tops: Sequence[np.ndarray],
+    aucs: Sequence[float | None],
+    pool_sizes: Sequence[int],
     target: LabeledEmbeddingTable,
     space: AttributeSpace,
     prior: dict[str, float],
     cfg: RunConfig,
-    positive: np.ndarray | None,
 ) -> dict:
-    # One score column, ordered as the final's GEMV orders the target, serves
-    # every fold's retrieval and AUC.
     codes = target.codes[space.name]
-    tops = _fold_tops(target, scores, fold_of, len(held_out), cfg.k)
     folds_out = []
-    for fold_idx, ((pool_size, fold_groups), top) in enumerate(zip(held_out, tops)):
+    for fold_idx, (pool_size, top, auc) in enumerate(zip(pool_sizes, tops, aucs)):
         counts = np.bincount(codes[top], minlength=len(space.values))
         distribution = empirical_distribution(counts, space)
         entry = {
@@ -420,7 +468,7 @@ def _mode_entry(
             "retrieved_counts": dict(zip(space.values, counts.tolist())),
             "kl": kl_divergence(distribution, prior),
             "max_skew": max_skew(distribution, prior),
-            "worst_group_auc": _fold_auc(fold_groups, scores, positive),
+            "worst_group_auc": auc,
         }
         if cfg.k > pool_size:
             entry["warning"] = "k exceeds pool size; retrieved the whole pool"
@@ -449,7 +497,9 @@ def evaluate(
     Per-query failures become error entries rather than aborting the run.
     Queries run in blocks of at most ``SCORE_BLOCK_COLUMNS`` finals, each block
     on its own: one GEMM ranks the reference for the block's step-1 queries,
-    where certified, and ``score_columns`` scores its finals. The returned
+    where certified, and one GEMM scores its finals against the target. A
+    final's column is kept where the orders its fold metrics read are
+    certified (``_fold_metrics``), else rescored by its GEMV. The returned
     dict is ready for deterministic serialization.
     """
     if reference.dim != target.dim:
@@ -460,15 +510,8 @@ def evaluate(
     index = build_index(reference)
     partition = index.partition(space.name)
     folds = make_folds(target.count, cfg.fold_count, cfg.seed)
-    # Each fold's row -> fold entries in ``fold_of``, the size of the pool that
-    # withholds it, and its own sorted rows per attribute value, scored for AUC.
     codes = target.codes[space.name]
-    fold_of = np.empty(target.count, dtype=np.intp)
-    held_out = []
-    for f, fold in enumerate(map(np.sort, folds)):
-        fold_of[fold] = f
-        groups = {v: fold[codes[fold] == i] for i, v in enumerate(space.values)}
-        held_out.append((target.count - fold.size, groups))
+    layout = _fold_layout(folds, codes, len(space.values))
     class_codes, class_of = target.class_codes
     if cfg.prior is not None:
         prior = validate_prior(cfg.prior, space)
@@ -501,12 +544,21 @@ def evaluate(
         except BendError as exc:
             return failed(first.resolved.row, exc)
 
-    def scored(done: _Debiased, columns: Sequence[np.ndarray]) -> dict:
+    def fold_metrics(reads, final: Vector, column: np.ndarray):
+        """The fold metrics off the GEMM ``column`` where certified, else off the
+        GEMV, which orders rows as every score column must."""
+        return (
+            _fold_metrics(target, layout, reads, column, cfg.k, certify=True)
+            or _fold_metrics(target, layout, reads, target.vectors @ final, cfg.k, certify=False)
+        )
+
+    def scored(done: _Debiased, pairs: Sequence[tuple[Vector, np.ndarray]]) -> dict:
+        """The entry of a debiased query, from each mode's final and GEMM column."""
         resolved, subsets = done.resolved, done.subsets
         row = resolved.row
-        # A class the target lacks matches no row, so every fold AUC is None.
-        code = class_codes.get(row.class_label, -1)
-        positive = None if row.class_label is None else class_of == code
+        # No class, or one the target lacks, matches no row: every fold AUC is None.
+        code = -1 if row.class_label is None else class_codes.get(row.class_label, -1)
+        reads = _auc_reads(layout, class_of == code)
         try:
             return {
                 "id": row.id,
@@ -516,10 +568,10 @@ def evaluate(
                 "n_used": subsets.n_used if subsets is not None else None,
                 "modes": {
                     mode: _mode_entry(
-                        done.reports[mode], column, held_out, fold_of, target,
-                        space, prior, cfg, positive,
+                        done.reports[mode], *fold_metrics(reads, *pair), layout.pool_sizes,
+                        target, space, prior, cfg,
                     )
-                    for mode, column in zip(cfg.modes, columns)
+                    for mode, pair in zip(cfg.modes, pairs)
                 },
             }
         except BendError as exc:
@@ -538,7 +590,7 @@ def evaluate(
             normalize(d.reports[mode].final)
             for d in block if isinstance(d, _Debiased) for mode in cfg.modes
         ]
-        columns = iter(score_columns(target.vectors, finals))
+        columns = zip(finals, np.stack(finals) @ target.vectors.T if finals else ())
         entries.extend(
             d if isinstance(d, dict) else scored(d, [next(columns) for _ in cfg.modes])
             for d in block

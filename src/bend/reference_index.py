@@ -7,9 +7,10 @@ break by ascending record id so runs are reproducible across platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,11 +103,12 @@ def top_rows(
     """
     candidates = scores[rows]
     if limit < rows.size:
-        keep = candidates >= np.partition(candidates, -limit)[-limit]
+        keep = np.flatnonzero(candidates >= np.partition(candidates, -limit)[-limit])
         rows, candidates = rows[keep], candidates[keep]
     return rows[np.lexsort((table.id_rank[rows], -candidates))[:limit]]
 
 
+@functools.cache
 def _score_error_bound(dim: int) -> float:
     """The most two float64 evaluations of one score can differ by: 2γ·‖t‖·‖q‖
     (README, "Evaluation protocol"), widened for norm tolerance, rounding and underflow."""
@@ -116,21 +118,10 @@ def _score_error_bound(dim: int) -> float:
     return 2 * gamma * norms + 2 * dim * np.finfo(np.float64).smallest_subnormal
 
 
-def _order_certified(column: np.ndarray, dim: int) -> bool:
-    """Whether every evaluation of ``column``'s scores orders its rows this way."""
-    return bool(np.all(np.diff(np.sort(column)) > 2 * _score_error_bound(dim)))
-
-
-def score_columns(vectors: np.ndarray, finals: Sequence[Vector]) -> list[np.ndarray]:
-    """A score column for each unit final, ordering rows as ``vectors @ final`` does:
-    one GEMM's column where its whole order is certified, else that GEMV."""
-    if not finals:
-        return []
-    block = np.stack(finals) @ vectors.T
-    return [
-        column if _order_certified(column, vectors.shape[1]) else vectors @ final
-        for final, column in zip(finals, block)
-    ]
+def order_certified(ascending: np.ndarray, dim: int) -> bool:
+    """Whether every evaluation of these ascending scores orders them this way:
+    each gap exceeds twice ``_score_error_bound``."""
+    return bool(np.all(ascending[1:] - ascending[:-1] > 2 * _score_error_bound(dim)))
 
 
 def relevant_subsets(
@@ -148,7 +139,7 @@ def relevant_subsets(
         indices={value: tuple(top[:n].tolist()) for value, top in tops.items()},
         means={value: table.vectors[top[:n]].mean(axis=0) for value, top in tops.items()},
     )
-    return subsets, all(_order_certified(scores[top], table.dim) for top in tops.values())
+    return subsets, all(order_certified(scores[top[::-1]], table.dim) for top in tops.values())
 
 
 def top_n_by_attribute(

@@ -304,14 +304,23 @@ class TestModuleInvocation:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_synthetic_eval_script_rejects_settings_before_writing(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [
+            pytest.param("--folds", "1", "ConfigError", id="one-fold"),
+            pytest.param("--classes", "0", "SynthSpecError", id="no-class"),
+        ],
+    )
+    def test_synthetic_eval_script_rejects_settings_before_writing(
+        self, tmp_path, flag, value, error
+    ):
         out_dir = tmp_path / "out"
         proc = run_python(
             "scripts/run_synthetic_eval.py", "--records", "600", "--dim", "16",
-            "--folds", "1", "--out-dir", str(out_dir),
+            flag, value, "--out-dir", str(out_dir),
         )
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ConfigError")
+        assert proc.stderr.startswith(f"error: {error}")
         assert "Traceback" not in proc.stderr
         assert not out_dir.exists()
 

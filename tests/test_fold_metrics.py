@@ -1,18 +1,24 @@
 """The fold kernels of ``evaluate`` in isolation, and whole-run properties.
 
 ``_fold_tops`` reads every fold's top-k off one ranking of a score column and
-must equal a separate ``top_rows`` over each fold's own pool; ``_group_auc``
-ranks by searching the sorted scores and must equal counting pairs.
-``score_columns`` scores finals with one GEMM and must order every column as
-its GEMV does. ``evaluate`` reads relevant subsets off one reference GEMM per
-block where certified, and its report must not change when every query is
-ranked by ``top_n_by_attribute``'s GEMV instead, or when every GEMM column is
-rejected, reference and target alike. An ``evaluate`` entry must not
-depend on which other queries or modes ran, and its counts and metrics must
-survive a rotation of every vector.
+must equal a separate ``top_rows`` over each fold's own pool;
+``sorted_group_auc`` ranks by searching the sorted scores and must equal
+counting pairs. ``_fold_metrics`` keeps a GEMM column only where the orders the
+fold metrics read are certified: the top ``limit + 1`` rows of the ranking,
+and each held-out (fold, value) group whose AUC is defined. A kept column must
+give the metrics its GEMV gives, a gap of twice the error bound in either
+place must reject it, and one elsewhere must not. ``evaluate`` reads relevant
+subsets off one reference GEMM per block where certified, and its report must
+not change when every query is ranked by ``top_n_by_attribute``'s GEMV
+instead, or when every GEMM column is rejected, reference and target alike,
+on continuous and on tie-heavy tables. An ``evaluate`` entry must not depend
+on which other queries or modes ran, and its counts and metrics must survive
+a rotation of every vector.
 """
 
+import contextlib
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,19 +29,21 @@ from bend import pipeline, reference_index
 from bend.augment import GENDER
 from bend.dataset import LabeledEmbeddingTable
 from bend.equalize import MODES
-from bend.metrics import _group_auc
+from bend.metrics import sorted_group_auc
 from bend.pipeline import (
     SCORE_BLOCK_COLUMNS,
     RunConfig,
+    _auc_reads,
+    _fold_layout,
+    _fold_metrics,
     _fold_tops,
     evaluate,
     parse_query_row,
 )
 from bend.reference_index import (
-    _order_certified,
     _score_error_bound,
+    order_certified,
     relevant_subsets,
-    score_columns,
     top_n_by_attribute,
     top_rows,
 )
@@ -111,7 +119,7 @@ def test_fold_tops_match_per_fold_pools_on_tied_tables(table, query, data):
 def test_group_auc_equals_pair_count_exactly(pairs):
     scores = np.array([s for s, _ in pairs])
     positive = np.array([p for _, p in pairs])
-    assert _group_auc(scores, positive) == brute_force_auc(pairs)
+    assert sorted_group_auc(np.sort(scores), scores[positive]) == brute_force_auc(pairs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -154,30 +162,34 @@ def unit_rows(rng, count, dim, spread=0):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+def fold_metrics(table, fold_of, positive, scores, k, certify):
+    """``_fold_metrics`` over explicit folds, with the tops as lists."""
+    folds = [np.flatnonzero(fold_of == f) for f in range(int(fold_of.max()) + 1)]
+    layout = _fold_layout(folds, table.codes["gender"], len(GENDER.values))
+    no_class = np.zeros(table.count, dtype=bool)
+    reads = _auc_reads(layout, no_class if positive is None else positive)
+    metrics = _fold_metrics(table, layout, reads, scores, k, certify=certify)
+    return metrics and ([top.tolist() for top in metrics[0]], metrics[1])
+
+
 @settings(max_examples=60)
 @given(tables(), st.lists(grid_vectors, min_size=1, max_size=SCORE_BLOCK_COLUMNS), st.data())
-def test_score_columns_order_rows_as_the_gemv_on_tied_tables(table, queries, data):
+def test_certified_fold_metrics_equal_the_gemvs_on_tied_tables(table, queries, data):
     finals = [normalize(q) for q in queries]
     fold_count = data.draw(st.integers(1, 4))
     fold_of = np.array(
         data.draw(st.lists(st.integers(0, fold_count - 1), min_size=table.count,
                            max_size=table.count))
     )
-    positive = np.array([c == CLASSES[0] for c in table.classes])
-    codes = table.codes["gender"]
-    rows = np.arange(table.count)
-    columns = score_columns(table.vectors, finals)
-    assert len(columns) == len(finals)
-    for final, column in zip(finals, columns):
-        gemv = table.vectors @ final
-        assert (top_rows(table, column, rows, table.count).tolist()
-                == top_rows(table, gemv, rows, table.count).tolist())
-        for f in range(fold_count):
-            for i in range(len(GENDER.values)):
-                group = rows[(fold_of == f) & (codes == i)]
-                if 0 < positive[group].sum() < group.size:
-                    assert (_group_auc(column[group], positive[group])
-                            == _group_auc(gemv[group], positive[group]))
+    positive = data.draw(st.sampled_from(
+        [None, np.array([c == CLASSES[0] for c in table.classes])]
+    ))
+    k = data.draw(st.integers(1, table.count + 2))
+    for final, column in zip(finals, np.stack(finals) @ table.vectors.T):
+        kept = fold_metrics(table, fold_of, positive, column, k, certify=True)
+        if kept is not None:
+            gemv = table.vectors @ final
+            assert kept == fold_metrics(table, fold_of, positive, gemv, k, certify=False)
 
 
 @settings(max_examples=60)
@@ -197,20 +209,77 @@ def test_gemm_and_gemv_scores_differ_by_at_most_the_error_bound(
 def test_a_gap_of_twice_the_error_bound_is_not_certified():
     # At exactly twice the bound, both scores can move to one value: a tie.
     gap = 2 * _score_error_bound(8)
-    assert not _order_certified(np.array([gap, 0.0, 1.0]), 8)
-    assert _order_certified(np.array([np.nextafter(gap, 1.0), 0.0, 1.0]), 8)
-    assert not _order_certified(np.array([0.25, 0.5, 0.25]), 8)
+    assert not order_certified(np.array([0.0, gap, 1.0]), 8)
+    assert order_certified(np.array([0.0, np.nextafter(gap, 1.0), 1.0]), 8)
+    assert not order_certified(np.array([0.25, 0.25, 0.5]), 8)
 
 
-def test_score_columns_keep_every_gemm_column_of_a_continuous_table():
+# Twelve rows in two folds of pairs; gender alternates by row, so each
+# (fold, value) group holds three rows: (0, male) is rows 0, 4 and 8, (0,
+# female) 1, 5, 9, (1, male) 2, 6, 10 and (1, female) 3, 7, 11. Rows 0-3 are
+# the positives, one per group, and the best four, two per fold: with k = 2
+# the ranking reads the top limit + 1 = 5 rows, and never grows.
+GAP_FOLDS = np.array([0, 0, 1, 1] * 3)
+GAP_POSITIVE = np.arange(12) < 4
+GAP_SCORES = np.array([0.9, 0.7, 0.8, 0.6, 0.5, -0.1, -0.2, -0.3, -0.4, -0.5, -0.6, -0.7])
+
+
+def gap_metrics(rows, scores, certify=True, positive=GAP_POSITIVE):
+    """``fold_metrics`` on ``GAP_SCORES`` with ``rows`` set to ``scores``."""
+    column = GAP_SCORES.copy()
+    column[list(rows)] = scores
+    table = tied_table(np.zeros(12))
+    return fold_metrics(table, GAP_FOLDS, positive, column, 2, certify)
+
+
+GAP = 2 * _score_error_bound(2)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param((6, 10), id="inside-a-held-out-group"),
+        pytest.param((3, 4), id="between-ranked-rows-limit-and-limit-plus-one"),
+    ],
+)
+def test_a_gap_of_twice_the_bound_where_the_metrics_read_falls_back(rows):
+    assert gap_metrics(rows, [GAP, 0.0]) is None
+    assert gap_metrics(rows, [np.nextafter(GAP, 1.0), 0.0]) is not None
+
+
+def test_a_gap_of_twice_the_bound_the_metrics_do_not_read_keeps_the_gemm():
+    # Rows 6 and 7 sit in different groups, both below the ranked prefix, so
+    # no evaluation within the bound changes a metric, a tie included.
+    kept = gap_metrics((6, 7), [GAP, 0.0])
+    assert kept is not None
+    assert kept == gap_metrics((6, 7), [GAP / 2, GAP / 2], certify=False)
+    assert kept == gap_metrics((6, 7), [0.0, GAP], certify=False)
+
+
+def test_a_query_without_a_class_certifies_no_group():
+    assert gap_metrics((6, 10), [GAP, 0.0]) is None
+    kept = gap_metrics((6, 10), [GAP, 0.0], positive=None)
+    assert kept is not None and kept[1] == [None, None]
+    assert kept == gap_metrics((6, 10), [0.0, 0.0], certify=False, positive=None)
+    # Fold 1's groups are single-class here, so it has no AUC and no group of
+    # it is read.
+    one_class = GAP_POSITIVE & (GAP_FOLDS == 0)
+    kept = gap_metrics((6, 10), [GAP, 0.0], positive=one_class)
+    assert kept is not None and kept[1] == [1.0, None]
+
+
+def test_fold_metrics_keep_every_gemm_column_of_a_continuous_table():
     rng = np.random.default_rng(7)
-    vectors = unit_rows(rng, 2000, 64)
+    table = continuous_table(rng, 2000, 64, "tgt")
     finals = list(unit_rows(rng, SCORE_BLOCK_COLUMNS, 64))
-    block = np.stack(finals) @ vectors.T
-    assert all(_order_certified(column, 64) for column in block)
-    columns = score_columns(vectors, finals)
-    for column, gemm in zip(columns, block):
-        assert np.array_equal(column, gemm)
+    fold_of = rng.integers(0, 5, table.count)
+    positive = np.array([c == CLASSES[0] for c in table.classes])
+    for k in (50, 2000):
+        for final, column in zip(finals, np.stack(finals) @ table.vectors.T):
+            kept = fold_metrics(table, fold_of, positive, column, k, certify=True)
+            assert kept is not None
+            gemv = table.vectors @ final
+            assert kept == fold_metrics(table, fold_of, positive, gemv, k, certify=False)
 
 
 def continuous_table(rng, count, dim, prefix):
@@ -243,17 +312,17 @@ def assert_entries_stand_alone(queries, reference, target, cfg):
         assert dumps(alone) == dumps([entry])
 
 
-def count_score_blocks(monkeypatch):
-    """Record (finals, rescored) for every block ``evaluate`` scores."""
+def count_kept_columns(monkeypatch):
+    """Record, for every GEMM column ``evaluate`` scores, whether it is kept."""
     calls = []
 
-    def counted(vectors, finals):
-        block = np.stack(finals) @ vectors.T if finals else ()
-        rescored = sum(not _order_certified(column, vectors.shape[1]) for column in block)
-        calls.append((len(finals), rescored))
-        return score_columns(vectors, finals)
+    def counted(*args, certify):
+        metrics = _fold_metrics(*args, certify=certify)
+        if certify:
+            calls.append(metrics is not None)
+        return metrics
 
-    monkeypatch.setattr(pipeline, "score_columns", counted)
+    monkeypatch.setattr(pipeline, "_fold_metrics", counted)
     return calls
 
 
@@ -275,11 +344,12 @@ def test_a_block_of_failed_queries_keeps_the_gemm(monkeypatch):
         parse_query_row({"id": f"q{i}", "vector": rng.standard_normal(dim).tolist()})
         for i, dim in enumerate([9, 9, 9, 9, 8, 8])
     ]
-    calls = count_score_blocks(monkeypatch)
+    calls = count_kept_columns(monkeypatch)
     cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
     entries = evaluate(queries, reference, target, cfg)["queries"]
     assert ["error" in entry for entry in entries] == [True] * 4 + [False] * 2
-    assert calls == [(0, 0), (8, 0)]
+    # The first block scores no final; the second keeps all eight columns.
+    assert calls == [True] * 8
 
 
 def test_a_target_of_duplicate_rows_is_rescored_by_the_gemv_in_every_block(
@@ -295,13 +365,14 @@ def test_a_target_of_duplicate_rows_is_rescored_by_the_gemv_in_every_block(
         attributes={"gender": half.attributes["gender"] * 2},
         classes=half.classes * 2,
     )
-    calls = count_score_blocks(monkeypatch)
+    calls = count_kept_columns(monkeypatch)
     cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
     queries = block_queries(rng, 8)
     evaluate(queries, reference, target, cfg)
-    # Every duplicate pair ties, so each block rescores all of its finals: 12
-    # in the first (one of its queries failed) and 8 in the second.
-    assert calls == [(12, 12), (8, 8)]
+    # Every row ties with its duplicate, the best row too, so each block
+    # rescores all of its finals: 12 in the first (one of its queries failed)
+    # and 8 in the second.
+    assert calls == [False] * 20
     assert_entries_stand_alone(queries, reference, target, cfg)
 
 
@@ -373,9 +444,46 @@ def test_evaluate_report_is_unchanged_when_every_gemm_column_is_rejected(monkeyp
     cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
     report = dumps(evaluate(queries, reference, target, cfg))
     calls = count_gemv_rankings(monkeypatch)
-    monkeypatch.setattr(reference_index, "_order_certified", lambda column, dim: False)
-    assert dumps(evaluate(queries, reference, target, cfg)) == report
+    kept = count_kept_columns(monkeypatch)
+    with rejecting_every_gemm_column():
+        assert dumps(evaluate(queries, reference, target, cfg)) == report
     assert calls == [8] * 5
+    assert kept == [False] * 20
+
+
+@contextlib.contextmanager
+def rejecting_every_gemm_column():
+    """Patch the certificate to reject every column, reference and target."""
+    def reject(ordered, dim):
+        return False
+
+    with mock.patch.object(reference_index, "order_certified", reject), \
+            mock.patch.object(pipeline, "order_certified", reject):
+        yield
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    tables(min_count=8, min_directions=3),
+    tables(min_count=8, min_directions=3),
+    st.lists(
+        st.tuples(grid_vectors, st.sampled_from(CLASSES + (None,))),
+        min_size=1, max_size=5,
+    ),
+    st.integers(1, 45),
+    st.integers(2, 4),
+)
+def test_evaluate_report_is_unchanged_when_every_gemm_column_is_rejected_on_tied_tables(
+    reference, target, drawn, k, fold_count
+):
+    queries = [
+        parse_query_row({"id": f"q{i}", "vector": v, "class": c})
+        for i, (v, c) in enumerate(drawn)
+    ]
+    cfg = RunConfig(attribute="gender", n=5, k=k, seed=1, fold_count=fold_count)
+    report = dumps(evaluate(queries, reference, target, cfg))
+    with rejecting_every_gemm_column():
+        assert dumps(evaluate(queries, reference, target, cfg)) == report
 
 
 def rotated(query, rotation):
