@@ -126,11 +126,6 @@ def augment_query(text: str, space: AttributeSpace) -> AugmentedQuerySet:
     return AugmentedQuerySet(per_value)
 
 
-def generic_prompts(space: AttributeSpace) -> dict[str, str]:
-    """The configured generic per-value prompts, in value order."""
-    return {v: space.generic_prompts[v] for v in space.values}
-
-
 def _head_noun(prompt: str) -> str | None:
     words = _WORD_RE.findall(prompt)
     if not words:

@@ -47,22 +47,19 @@ def _parse_vector(raw: str):
 
 
 def _parse_modes(raw: str) -> tuple[str, ...]:
-    modes = tuple(m.strip() for m in raw.split(",") if m.strip())
-    if not modes:
-        raise ConfigError("at least one mode is required")
-    return modes
+    return tuple(m.strip() for m in raw.split(",") if m.strip())
 
 
 def _embed_endpoint(args, expected_dim: int) -> EmbeddingEndpoint | None:
-    url = args.embed_endpoint or os.environ.get(EMBED_ENDPOINT_ENV)
-    if not url:
-        return None
-    return EmbeddingEndpoint(
-        url=url,
+    """The configured embedding endpoint, or None. Built either way, so every
+    verb checks ``--embed-timeout-ms`` whether or not a URL is set."""
+    endpoint = EmbeddingEndpoint(
+        url=args.embed_endpoint or os.environ.get(EMBED_ENDPOINT_ENV) or "",
         expected_dim=expected_dim,
         timeout_ms=args.embed_timeout_ms,
         token=args.embed_token,
     )
+    return endpoint if endpoint.url else None
 
 
 def _write(path: Path, text: str) -> None:
@@ -121,8 +118,16 @@ def cmd_debias(args) -> int:
 
 def cmd_retrieve(args) -> int:
     target = read_dataset(args.target)
+    endpoint = _embed_endpoint(args, target.dim)
+    metric_space = None
+    if args.attribute is not None:
+        metric_space = pipeline.resolve_space(target, args.attribute)
+    prior = None
+    if args.prior:
+        if metric_space is None:
+            raise ConfigError("--prior needs --attribute to know which space to score")
+        prior = pipeline.load_prior(args.prior, metric_space)
     if args.text is not None:
-        endpoint = _embed_endpoint(args, target.dim)
         if endpoint is None:
             raise MissingEndpoint(
                 "text queries need --embed-endpoint or BEND_EMBED_ENDPOINT"
@@ -131,13 +136,6 @@ def cmd_retrieve(args) -> int:
     else:
         query = _parse_vector(args.vector)
     retrieved = pipeline.retrieve_top_k(target, query, args.k)
-    metric_space = None
-    prior = None
-    if args.prior:
-        if not args.attribute:
-            raise ConfigError("--prior needs --attribute to know which space to score")
-        metric_space = pipeline.resolve_space(target, args.attribute)
-        prior = pipeline.load_prior(args.prior, metric_space)
     report = pipeline.retrieval_report_json(
         target, retrieved, args.k, metric_space=metric_space, prior=prior
     )

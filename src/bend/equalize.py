@@ -98,7 +98,6 @@ def solve_general(z_prime, means: Sequence) -> EqualizationSolution:
 class DebiasReport:
     """Everything one debias run produced, for diagnostics and serialization."""
 
-    mode: str
     baseline: Vector
     step1: Vector | None
     final: Vector
@@ -142,7 +141,6 @@ def debias(query_emb, matrix: AttributeMatrix | None, subsets, mode: str) -> Deb
         final, lam, residuals = solution.z_star, solution.lam, solution.residuals
     gap_by_stage["final"] = group_distance_gap(final, means)
     return DebiasReport(
-        mode=mode,
         baseline=query,
         step1=step1,
         final=final,

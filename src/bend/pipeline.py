@@ -19,7 +19,6 @@ from .augment import (
     AttributeSpace,
     augment_query,
     external_augmenter,
-    generic_prompts,
     mentions_attribute,
 )
 from .client import EmbeddingEndpoint, embed_text
@@ -251,11 +250,10 @@ def resolve_query(
         augmented_set = external_augmenter(row.text, space, cfg.augment_endpoint)
     else:
         augmented_set = augment_query(row.text, space)
-    prompts = generic_prompts(space)
     batch = (
         [row.text]
         + [augmented_set.per_value_texts[v] for v in space.values]
-        + [prompts[v] for v in space.values]
+        + [space.generic_prompts[v] for v in space.values]
     )
     embedded = embed_text(batch, cfg.embed_endpoint)
     k = len(space.values)
@@ -304,7 +302,6 @@ def run_query_reports(
     if resolved.skipped:
         passthrough = {
             mode: DebiasReport(
-                mode=mode,
                 baseline=resolved.embedding,
                 step1=None,
                 final=resolved.embedding,
@@ -322,13 +319,16 @@ def run_query_reports(
 
 
 def resolve_space(
-    reference: LabeledEmbeddingTable,
+    table: LabeledEmbeddingTable,
     attribute: str,
     target: LabeledEmbeddingTable | None = None,
 ) -> AttributeSpace:
-    if attribute not in reference.spaces:
-        raise ConfigError(f"attribute {attribute!r} is not declared in the reference")
-    space = reference.spaces[attribute]
+    """``attribute``'s space in ``table``: the one dataset a verb reads, or the
+    reference, whose values ``target`` must then declare in the same order."""
+    if attribute not in table.spaces:
+        where = "dataset" if target is None else "reference"
+        raise ConfigError(f"attribute {attribute!r} is not declared in the {where}")
+    space = table.spaces[attribute]
     if target is not None:
         if attribute not in target.spaces:
             raise ConfigError(f"attribute {attribute!r} is not declared in the target")

@@ -22,15 +22,10 @@ RESIDUAL_EPS = 1e-8
 
 @dataclass(frozen=True)
 class AttributeMatrix:
-    """Columns spanning the local attribute subspace plus their retained basis."""
+    """The retained basis of the local attribute subspace's columns."""
 
-    columns: np.ndarray         # (k, d), in build order
     retained_basis: np.ndarray  # (r, d), mutually orthonormal
     dropped_count: int
-
-    @property
-    def rank(self) -> int:
-        return self.retained_basis.shape[0]
 
 
 def build_attribute_matrix(
@@ -67,11 +62,7 @@ def build_attribute_matrix(
     basis, dropped = gram_schmidt(columns)
     if basis.shape[0] == 0:
         raise DegenerateSubspace("every attribute column was rank-deficient or zero")
-    return AttributeMatrix(
-        columns=np.stack(columns),
-        retained_basis=basis,
-        dropped_count=dropped,
-    )
+    return AttributeMatrix(retained_basis=basis, dropped_count=dropped)
 
 
 def orthogonalize(query_emb, matrix: AttributeMatrix) -> Vector:

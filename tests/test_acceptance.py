@@ -96,7 +96,10 @@ def test_criterion_3_orthogonality_and_idempotence():
                 }
                 matrix = build_attribute_matrix(query, augmented, generic)
                 out = orthogonalize(query, matrix)
-                for column in matrix.columns:
+                columns = [augmented[v] - query for v in augmented] + [
+                    generic[v] - generic["v0"] for v in list(generic)[1:]
+                ]
+                for column in columns:
                     norm = float(np.linalg.norm(column))
                     if norm > 1e-12:
                         assert abs(float(out @ column) / norm) <= 1e-6

@@ -11,7 +11,6 @@ from bend.augment import (
     attribute_space,
     augment_query,
     external_augmenter,
-    generic_prompts,
     mentions_attribute,
 )
 from bend.errors import ConfigError, EmptyQuery
@@ -103,14 +102,14 @@ class TestAugmentQuery:
 
 class TestGenericPrompts:
     def test_gender_defaults(self):
-        assert generic_prompts(GENDER) == {
+        assert GENDER.generic_prompts == {
             "male": "a photo of a man",
             "female": "a photo of a woman",
         }
 
     def test_race_defaults(self):
         space = attribute_space("race", FAIRFACE_RACES)
-        prompts = generic_prompts(space)
+        prompts = space.generic_prompts
         assert len(prompts) == 7
         assert prompts["East Asian"] == "A photo of a East Asian person"
 

@@ -604,6 +604,44 @@ class TestBoundaryErrors:
         assert "ConfigError" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("verb", ["debias", "retrieve", "evaluate"])
+    @pytest.mark.parametrize("timeout", ["0", "-5"])
+    def test_non_positive_embed_timeout_exits_2_without_an_endpoint(
+        self, ref_target, synth_dataset, tmp_path, monkeypatch, capsys, verb, timeout
+    ):
+        monkeypatch.delenv("BEND_EMBED_ENDPOINT", raising=False)
+        ref, target = ref_target
+        vector = json.dumps([1.0] + [0.0] * 15)
+        args = {
+            "debias": ["debias", "--vector", vector, "--reference", str(ref),
+                       "--attribute", "gender"],
+            "retrieve": ["retrieve", "--vector", vector, "--target", str(target)],
+            "evaluate": ["evaluate", str(synth_dataset / QUERIES_NAME),
+                         "--reference", str(ref), "--target", str(target),
+                         "--attribute", "gender"],
+        }[verb]
+        out = tmp_path / "out.json"
+        assert main(args + ["--embed-timeout-ms", timeout, "--out", str(out)]) == 2
+        assert "ConfigError: the embedding timeout must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_prior", [False, True])
+    def test_retrieve_undeclared_attribute_exits_2(
+        self, ref_target, tmp_path, capsys, with_prior
+    ):
+        _, target = ref_target
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"male": 0.5, "female": 0.5}))
+        out = tmp_path / "retrieval.json"
+        args = [
+            "retrieve", "--vector", json.dumps([1.0] + [0.0] * 15),
+            "--target", str(target), "--attribute", "genderr", "--out", str(out),
+        ]
+        assert main(args + (["--prior", str(prior)] if with_prior else [])) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError: attribute 'genderr' is not declared in the dataset" in err
+        assert not out.exists()
+
     def test_negative_evaluate_seed_exits_2(self, ref_target, synth_dataset):
         ref, target = ref_target
         proc = run_module(
@@ -615,8 +653,8 @@ class TestBoundaryErrors:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
-        "flag, value", [("--folds", "1"), ("--modes", "full,full")],
-        ids=["one-fold", "repeated-mode"],
+        "flag, value", [("--folds", "1"), ("--modes", "full,full"), ("--modes", " , ")],
+        ids=["one-fold", "repeated-mode", "no-mode"],
     )
     def test_unusable_evaluate_config_exits_2(
         self, ref_target, synth_dataset, tmp_path, flag, value

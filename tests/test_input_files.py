@@ -7,22 +7,37 @@ class. These cases are the seed corpus for a format fuzz.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bend.augment import GENDER
 from bend.cli import main
-from bend.dataset import LabeledEmbeddingTable, load_synth_spec, read_dataset, write_dataset
+from bend.dataset import (
+    LabeledEmbeddingTable,
+    load_synth_spec,
+    read_dataset,
+    read_json,
+    read_json_lines,
+    write_dataset,
+)
 from bend.errors import (
+    BendError,
     ConfigError,
     DatasetIOError,
     ManifestError,
     MetadataError,
+    NonFiniteValue,
+    NonUnitRow,
     SizeMismatch,
     SynthSpecError,
 )
 from bend.pipeline import load_prior, load_queries
+from bend.vectors import number_vector
 
 COUNT = 3
 DIM = 4
@@ -263,3 +278,74 @@ def test_vector_flag_faults_are_usage_errors(tmp_path, vector):
     manifest = _dataset(tmp_path)
     vector = vector.format(tmp=tmp_path)
     assert main(["retrieve", "--vector", vector, "--target", str(manifest)]) == 2
+
+
+# The file-format fuzz: each boundary reader, on any bytes, either loads or
+# raises a BendError of its documented class and exit code, never a bare one.
+FUZZ_ERRORS = {
+    "json": {ConfigError: 2},  # read_json, as a prior file is read
+    "jsonl": {MetadataError: 5},  # read_json_lines, every line drawn
+    "vector": {ConfigError: 2, NonFiniteValue: 5},  # read_json, then number_vector
+    "vectors.f32": {SizeMismatch: 5, NonUnitRow: 5, MetadataError: 5},  # read_dataset
+}
+FLOAT32_ROWS = st.lists(
+    st.floats(width=32), min_size=COUNT * DIM, max_size=COUNT * DIM
+).map(lambda values: np.asarray(values, dtype="<f4").tobytes())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=12,
+)
+
+
+def _fuzz_read(kind: str, raw: bytes, tmp: Path):
+    if kind == "vectors.f32":
+        manifest = write_dataset(small_table(), tmp / "ds")
+        (manifest.parent / "vectors.f32").write_bytes(raw)
+        table = read_dataset(manifest)  # loads only the file's own rows, normalized
+        rows = np.frombuffer(raw, "<f4").astype(np.float64).reshape(COUNT, DIM)
+        assert np.allclose(table.vectors * np.linalg.norm(rows, axis=1)[:, None], rows)
+        return
+    path = tmp / "input"
+    path.write_bytes(raw)
+    if kind == "jsonl":
+        count, records = read_json_lines(path, "query")
+        assert sum(isinstance(record, dict) for _, record in records) == count
+        return
+    values = read_json(path, "input", ConfigError)
+    if kind == "vector":
+        assert np.isfinite(number_vector(values, "vector", ConfigError, NonFiniteValue)).all()
+
+
+def _seeded(test):
+    """Every fault of ``BAD`` is an explicit example for every kind."""
+    for kind in FUZZ_ERRORS:
+        for raw in [*BAD.values(), b"\r\n{}\r\n"]:
+            test = example(kind=kind, raw=raw)(test)
+    return test
+
+
+@settings(max_examples=150)
+@given(
+    kind=st.sampled_from(sorted(FUZZ_ERRORS)),
+    raw=st.one_of(
+        st.binary(max_size=64),
+        JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+        st.lists(JSON_VALUES.map(json.dumps), max_size=4).map(lambda ls: "\n".join(ls).encode()),
+        FLOAT32_ROWS,
+    ),
+)
+@_seeded
+@example(kind="vector", raw=b"[1e400]")
+@example(kind="vector", raw=b"[" + b"9" * 400 + b"]")
+@example(kind="vector", raw=b'["1", true]')
+@example(kind="vector", raw=b"[NaN]")
+@example(kind="vectors.f32", raw=np.full(COUNT * DIM, np.nan, "<f4").tobytes())
+@example(kind="vectors.f32", raw=bytes(COUNT * DIM * 4))
+@example(kind="vectors.f32", raw=bytes(COUNT * DIM * 4 - 1))
+def test_input_bytes_load_or_raise_their_documented_error(kind, raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            _fuzz_read(kind, raw, Path(tmp))
+        except BendError as exc:
+            assert FUZZ_ERRORS[kind].get(type(exc)) == exc.exit_code, exc

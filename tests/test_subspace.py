@@ -28,13 +28,15 @@ class TestBuildAttributeMatrix:
                 [-0.5, 0.0, math.cos(theta) - 1.0],
             ]
         )
-        assert np.allclose(matrix.columns, expected_cols, atol=1e-12)
-        assert matrix.rank == 2
+        assert np.allclose(
+            [augmented[v] - query for v in augmented], expected_cols, atol=1e-12
+        )
+        assert matrix.retained_basis.shape[0] == 2
         assert matrix.dropped_count == 0
         # independent rank oracle
-        assert np.linalg.matrix_rank(matrix.columns) == 2
+        assert np.linalg.matrix_rank(expected_cols) == 2
         # same span as a QR factorization of the columns
-        q, _ = np.linalg.qr(matrix.columns.T)
+        q, _ = np.linalg.qr(expected_cols.T)
         theirs = q @ q.T
         mine = matrix.retained_basis.T @ matrix.retained_basis
         assert np.allclose(mine, theirs, atol=1e-8)
@@ -56,7 +58,7 @@ class TestBuildAttributeMatrix:
         without_dup = build_attribute_matrix(
             query, {"a": augmented["a"], "b": augmented["b"]}
         )
-        assert matrix.rank == without_dup.rank
+        assert matrix.retained_basis.shape[0] == without_dup.retained_basis.shape[0]
         assert matrix.dropped_count == without_dup.dropped_count + 1
 
     def test_generic_columns_are_differences(self, rng):
@@ -65,8 +67,13 @@ class TestBuildAttributeMatrix:
         generic = {"a": _unit(rng, 8), "b": _unit(rng, 8)}
         matrix = build_attribute_matrix(query, augmented, generic)
         # 2 aug columns + 1 generic difference against the first value
-        assert matrix.columns.shape[0] == 3
-        assert np.allclose(matrix.columns[2], generic["b"] - generic["a"])
+        columns = np.stack([
+            augmented["a"] - query, augmented["b"] - query, generic["b"] - generic["a"]
+        ])
+        assert matrix.retained_basis.shape[0] == 3
+        q, _ = np.linalg.qr(columns.T)
+        mine = matrix.retained_basis.T @ matrix.retained_basis
+        assert np.allclose(mine, q @ q.T, atol=1e-8)
 
     def test_mismatched_value_sets_rejected(self, rng):
         query = _unit(rng, 4)
@@ -117,7 +124,10 @@ class TestOrthogonalize:
             matrix = build_attribute_matrix(query, augmented, generic)
             out = orthogonalize(query, matrix)
             assert abs(np.linalg.norm(out) - 1.0) < 1e-9
-            for col in matrix.columns:
+            columns = [augmented[v] - query for v in augmented] + [
+                generic[v] - generic["v0"] for v in list(generic)[1:]
+            ]
+            for col in columns:
                 norm = np.linalg.norm(col)
                 if norm > 1e-12:
                     assert abs(np.dot(out, col / norm)) < 1e-6
