@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
@@ -99,15 +100,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_debias(args) -> int:
-    reference = read_dataset(args.reference)
-    space = pipeline.resolve_space(reference, args.attribute)
     cfg = RunConfig(
         attribute=args.attribute,
         n=args.n,
         modes=_parse_modes(args.modes),
-        embed_endpoint=_embed_endpoint(args, reference.dim),
         augment_endpoint=args.augment_endpoint,
     )
+    reference = read_dataset(args.reference)
+    space = pipeline.resolve_space(reference, args.attribute)
+    cfg = replace(cfg, embed_endpoint=_embed_endpoint(args, reference.dim))
     index = build_index(reference)
     resolved = pipeline.resolve_query(_query_row(args), space, index, cfg)
     reports, subsets = pipeline.run_query_reports(resolved, index, space, cfg)
@@ -117,6 +118,8 @@ def cmd_debias(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    if args.k < 1:
+        raise ConfigError("k must be at least 1")
     target = read_dataset(args.target)
     endpoint = _embed_endpoint(args, target.dim)
     metric_space = None
@@ -144,11 +147,6 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    reference = read_dataset(args.reference)
-    target = read_dataset(args.target)
-    queries = pipeline.load_queries(args.queries)
-    space = pipeline.resolve_space(reference, args.attribute, target)
-    prior = pipeline.load_prior(args.prior, space) if args.prior else None
     cfg = RunConfig(
         attribute=args.attribute,
         n=args.n,
@@ -156,9 +154,16 @@ def cmd_evaluate(args) -> int:
         modes=_parse_modes(args.modes),
         seed=args.seed,
         fold_count=args.folds,
-        embed_endpoint=_embed_endpoint(args, reference.dim),
         augment_endpoint=args.augment_endpoint,
-        prior=prior,
+    )
+    reference = read_dataset(args.reference)
+    target = read_dataset(args.target)
+    queries = pipeline.load_queries(args.queries)
+    space = pipeline.resolve_space(reference, args.attribute, target)
+    cfg = replace(
+        cfg,
+        embed_endpoint=_embed_endpoint(args, reference.dim),
+        prior=pipeline.load_prior(args.prior, space) if args.prior else None,
     )
     report = pipeline.evaluate(
         queries,

@@ -122,7 +122,3 @@ class DegenerateMeans(BendError):
 
 class ZeroResult(BendError):
     exit_code = 6
-
-
-class QueryInsideConstraintSpan(BendError):
-    exit_code = 6

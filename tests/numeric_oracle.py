@@ -1,5 +1,5 @@
-"""Projected-ascent equalization solver: an independent oracle for the
-closed forms in ``bend.equalize``, not a production path."""
+"""Independent references for ``bend.equalize``, not production paths: a
+projected-ascent equalization solver and the stand-alone binary closed form."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from bend.equalize import RESULT_EPS
-from bend.errors import QueryInsideConstraintSpan, ZeroResult
-from bend.vectors import as_vector
+from bend.errors import ZeroResult
+from bend.vectors import as_vector, normalize
 
 
 @dataclass(frozen=True)
@@ -18,6 +18,14 @@ class OracleSolution:
     z_star: np.ndarray
     residuals: tuple[float, ...]  # |mu_i . z* - mu_1 . z*| for i >= 2
     iterations: int
+
+
+def closed_form_binary(z, mu1, mu2):
+    """Binary equalization solved for its multiplier directly:
+    lam = gap / (2 mu1.mu2 - ||mu2||^2 - ||mu1||^2), z* = normalize(z - lam (mu2 - mu1))."""
+    gap = float(mu1 @ z) - float(mu2 @ z)
+    lam = gap / (2.0 * float(mu1 @ mu2) - float(mu2 @ mu2) - float(mu1 @ mu1))
+    return lam, normalize(z - lam * mu2 + lam * mu1)
 
 
 def _span_basis_svd(deltas: np.ndarray) -> np.ndarray:
@@ -49,9 +57,7 @@ def solve_numeric_oracle(
     start = project(z_ref)
     start_norm = float(np.linalg.norm(start))
     if start_norm < RESULT_EPS:
-        raise QueryInsideConstraintSpan(
-            "query lies inside the span of the constraint directions"
-        )
+        raise ZeroResult("query lies inside the span of the constraint directions")
     z = start / start_norm
     converged = False
     iterations = 0

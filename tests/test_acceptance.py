@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bend.dataset import MANIFEST_NAME, read_dataset, write_dataset
-from bend.equalize import solve_binary, solve_general
+from bend.equalize import equalize
 from bend.metrics import kl_divergence, max_skew, worst_group_auc
 from bend.reporting import dumps
 from bend.subspace import build_attribute_matrix, orthogonalize
@@ -21,7 +21,7 @@ from bend.vectors import normalize
 
 from cosine import cosine_distance
 from experiment_setup import run_acceptance_experiment
-from numeric_oracle import solve_numeric_oracle
+from numeric_oracle import closed_form_binary, solve_numeric_oracle
 from test_dataset import small_table
 from test_metrics import brute_force_auc
 
@@ -58,7 +58,7 @@ def test_criterion_1_binary_closed_form_against_oracle():
         started = time.perf_counter()
         for dim in (8, 512):
             for z, mu1, mu2 in seeded_triples(dim, 500, seed=1000 + dim):
-                solution = solve_binary(z, mu1, mu2)
+                solution = equalize(z, [mu1, mu2])
                 assert abs(np.linalg.norm(solution.z_star) - 1.0) <= 1e-9
                 gap = float(mu1 @ solution.z_star) - float(mu2 @ solution.z_star)
                 assert abs(gap) <= 1e-8
@@ -69,13 +69,14 @@ def test_criterion_1_binary_closed_form_against_oracle():
 
 
 def test_criterion_2_closed_form_equivalence():
-    with criterion(2, "binary and general closed forms coincide"):
+    with criterion(2, "null-space projection matches the binary closed form"):
         for dim in (8, 512):
             for z, mu1, mu2 in seeded_triples(dim, 500, seed=1000 + dim):
-                binary = solve_binary(z, mu1, mu2)
-                general = solve_general(z, [mu1, mu2])
-                assert np.max(np.abs(binary.z_star - general.z_star)) <= 1e-9
-        symmetric = solve_general(
+                solution = equalize(z, [mu1, mu2])
+                lam, z_star = closed_form_binary(z, mu1, mu2)
+                assert np.max(np.abs(solution.z_star - z_star)) <= 1e-9
+                assert abs(solution.lam - lam) <= 1e-12
+        symmetric = equalize(
             normalize([1.0, 2.0, 3.0]), [np.eye(3)[i] for i in range(3)]
         )
         assert np.max(np.abs(symmetric.z_star - np.ones(3) / math.sqrt(3.0))) <= 1e-6

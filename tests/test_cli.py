@@ -678,3 +678,22 @@ class TestBoundaryErrors:
         assert proc.returncode == 2
         assert "SynthSpecError" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "verb, flags",
+        [("debias", ["--modes", "bogus"]), ("retrieve", ["--k", "0"]),
+         ("evaluate", ["--n", "0"])],
+        ids=["debias", "retrieve", "evaluate"],
+    )
+    def test_bad_flag_exits_2_before_loading_any_table(self, tmp_path, capsys, verb, flags):
+        missing = str(tmp_path / "missing" / MANIFEST_NAME)
+        vector = json.dumps([1.0] + [0.0] * 15)
+        args = {
+            "debias": ["debias", "--vector", vector, "--reference", missing,
+                       "--attribute", "gender"],
+            "retrieve": ["retrieve", "--vector", vector, "--target", missing],
+            "evaluate": ["evaluate", str(tmp_path / "missing.jsonl"), "--reference", missing,
+                         "--target", missing, "--attribute", "gender"],
+        }[verb]
+        assert main(args + flags) == 2
+        assert "ConfigError" in capsys.readouterr().err

@@ -5,17 +5,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from bend.equalize import GAP_EPS, solve_binary, solve_general
-from bend.errors import (
-    ConfigError,
-    DegenerateMeans,
-    QueryInsideConstraintSpan,
-    ZeroResult,
-)
+from bend.equalize import GAP_EPS, equalize
+from bend.errors import ConfigError, DegenerateMeans, ZeroResult
 from bend.vectors import normalize
 
 from cosine import cosine_distance
-from numeric_oracle import solve_numeric_oracle
+from numeric_oracle import closed_form_binary, solve_numeric_oracle
 
 
 def random_triple(rng, dim):
@@ -31,7 +26,7 @@ class TestSolveBinary:
         z = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
         mu1 = np.array([1.0, 0.0, 0.0])
         mu2 = np.array([0.0, 1.0, 0.0])
-        solution = solve_binary(z, mu1, mu2)
+        solution = equalize(z, [mu1, mu2])
         assert solution.lam == pytest.approx(-1.0 / (2.0 * math.sqrt(2.0)), abs=1e-12)
         expected = np.array([1.0, 1.0, 2.0]) / math.sqrt(6.0)
         assert np.allclose(solution.z_star, expected, atol=1e-12)
@@ -44,14 +39,14 @@ class TestSolveBinary:
 
     def test_already_equalized(self):
         z = np.array([0.0, 0.0, 1.0])
-        solution = solve_binary(z, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+        solution = equalize(z, [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])])
         assert solution.lam == 0.0
         assert np.allclose(solution.z_star, z)
 
     def test_identical_means_vacuous(self):
         z = normalize([0.2, 0.5, 0.8])
         mu = np.array([0.3, 0.3, 0.0])
-        solution = solve_binary(z, mu, mu.copy())
+        solution = equalize(z, [mu, mu.copy()])
         assert solution.lam == 0.0
         assert np.allclose(solution.z_star, z)
 
@@ -60,30 +55,23 @@ class TestSolveBinary:
         mu1 = np.array([0.5, 0.0])
         mu2 = np.array([0.5 - 5e-11, 0.0])
         with pytest.raises(DegenerateMeans):
-            solve_binary(z, mu1, mu2)
+            equalize(z, [mu1, mu2])
 
     def test_query_parallel_to_mean_difference(self):
         # z' lies along mu2 - mu1, so removing that direction leaves nothing.
         z = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ZeroResult):
-            solve_binary(z, np.zeros(3), np.array([2.0, 0.0, 0.0]))
+            equalize(z, [np.zeros(3), np.array([2.0, 0.0, 0.0])])
 
     @pytest.mark.parametrize("dim", [8, 512])
     def test_feasibility_on_random_draws(self, dim):
         rng = np.random.default_rng(7 + dim)
         for _ in range(500):
             z, mu1, mu2 = random_triple(rng, dim)
-            solution = solve_binary(z, mu1, mu2)
+            solution = equalize(z, [mu1, mu2])
             assert abs(np.linalg.norm(solution.z_star) - 1.0) < 1e-9
             gap = float(mu1 @ solution.z_star) - float(mu2 @ solution.z_star)
             assert abs(gap) <= 1e-8
-
-
-def closed_form_binary(z, mu1, mu2):
-    """The stand-alone binary solution the null-space readout replaced."""
-    gap = float(mu1 @ z) - float(mu2 @ z)
-    lam = gap / (2.0 * float(mu1 @ mu2) - float(mu2 @ mu2) - float(mu1 @ mu1))
-    return lam, normalize(z - lam * mu2 + lam * mu1)
 
 
 mean_coords = st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5).map(np.array)
@@ -100,7 +88,7 @@ class TestSolveBinaryDifferential:
         assume(abs(float(d @ z)) > GAP_EPS)
         assume(np.linalg.norm(z - (d @ z) / (d @ d) * d) >= 0.1)
         lam, z_star = closed_form_binary(z, mu1, mu2)
-        solution = solve_binary(z, mu1, mu2)
+        solution = equalize(z, [mu1, mu2])
         assert abs(solution.lam - lam) <= 1e-12
         assert np.max(np.abs(solution.z_star - z_star)) <= 1e-12
 
@@ -109,14 +97,14 @@ class TestSolveGeneral:
     def test_matches_binary_closed_form(self, rng):
         for _ in range(500):
             z, mu1, mu2 = random_triple(rng, 8)
-            binary = solve_binary(z, mu1, mu2)
-            general = solve_general(z, [mu1, mu2])
-            assert np.max(np.abs(binary.z_star - general.z_star)) < 1e-9
+            _, z_star = closed_form_binary(z, mu1, mu2)
+            solution = equalize(z, [mu1, mu2])
+            assert np.max(np.abs(solution.z_star - z_star)) < 1e-9
 
     def test_three_symmetric_means(self):
         means = [np.eye(3)[i] for i in range(3)]
         z = normalize([1.0, 2.0, 3.0])
-        solution = solve_general(z, means)
+        solution = equalize(z, means)
         expected = np.ones(3) / math.sqrt(3.0)
         assert np.allclose(solution.z_star, expected, atol=1e-9)
         sims = [float(m @ solution.z_star) for m in means]
@@ -125,25 +113,42 @@ class TestSolveGeneral:
     def test_all_means_identical(self):
         z = normalize([1.0, 1.0, 0.0])
         mu = np.array([0.2, 0.1, 0.0])
-        solution = solve_general(z, [mu, mu.copy(), mu.copy()])
+        solution = equalize(z, [mu, mu.copy(), mu.copy()])
         assert np.allclose(solution.z_star, z)
+
+    def test_near_equal_similarities_returned_unchanged(self):
+        # A spread of 1e-13 is within GAP_EPS: z comes back bit for bit,
+        # not projected onto the null-space of e1 and e2.
+        z = normalize([1e-13, 0.0, 1.0])
+        means = [np.eye(3)[0], np.eye(3)[1], np.zeros(3)]
+        solution = equalize(z, means)
+        assert np.array_equal(solution.z_star, z)
+        assert solution.lam is None
+
+    def test_near_identical_means_with_gap_rejected(self):
+        z = np.array([1.0, 0.0])
+        means = [np.array([0.5, 0.0]), np.array([0.5 - 5e-11, 0.0]), np.array([0.5, 0.0])]
+        with pytest.raises(DegenerateMeans):
+            equalize(z, means)
 
     def test_query_inside_constraint_span(self):
         z = np.array([1.0, 0.0, 0.0])
-        means = [np.zeros(3), np.array([2.0, 0.0, 0.0])]
-        with pytest.raises(QueryInsideConstraintSpan):
-            solve_general(z, means)
+        two = [np.zeros(3), np.array([2.0, 0.0, 0.0])]
+        three = two + [np.array([0.0, 1.0, 0.0])]
+        for means in (two, three):
+            with pytest.raises(ZeroResult):
+                equalize(z, means)
 
     def test_needs_two_means(self):
         with pytest.raises(ConfigError):
-            solve_general(np.array([1.0, 0.0]), [np.array([0.5, 0.0])])
+            equalize(np.array([1.0, 0.0]), [np.array([0.5, 0.0])])
 
     def test_feasibility_many_groups(self, rng):
         for _ in range(100):
             k = int(rng.integers(3, 6))
             z = normalize(rng.standard_normal(16))
             means = [rng.standard_normal(16) / 4.0 for _ in range(k)]
-            solution = solve_general(z, means)
+            solution = equalize(z, means)
             base = float(means[0] @ solution.z_star)
             for m in means[1:]:
                 assert abs(float(m @ solution.z_star) - base) <= 1e-8
@@ -154,7 +159,7 @@ class TestNumericOracle:
         z = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
         mu1 = np.array([1.0, 0.0, 0.0])
         mu2 = np.array([0.0, 1.0, 0.0])
-        binary = solve_binary(z, mu1, mu2)
+        binary = equalize(z, [mu1, mu2])
         numeric = solve_numeric_oracle(z, [mu1, mu2])
         assert cosine_distance(binary.z_star, numeric.z_star) < 1e-6
 
@@ -175,7 +180,7 @@ class TestNumericOracle:
         rng = np.random.default_rng(41 + dim)
         for _ in range(200):
             z, mu1, mu2 = random_triple(rng, dim)
-            binary = solve_binary(z, mu1, mu2)
+            binary = equalize(z, [mu1, mu2])
             numeric = solve_numeric_oracle(z, [mu1, mu2])
             assert cosine_distance(binary.z_star, numeric.z_star) <= 1e-5
             objective_gap = float(numeric.z_star @ z) - float(binary.z_star @ z)
@@ -188,7 +193,7 @@ class TestMinimalChange:
         # higher against the original embedding.
         for _ in range(100):
             z, mu1, mu2 = random_triple(rng, 12)
-            solution = solve_binary(z, mu1, mu2)
+            solution = equalize(z, [mu1, mu2])
             delta = mu1 - mu2
             basis = delta / np.linalg.norm(delta)
             for _ in range(5):
