@@ -20,6 +20,7 @@ from .dataset import (
     QUERIES_NAME,
     load_synth_spec,
     read_dataset,
+    read_json,
     synth_generate,
     synth_query_rows,
     write_dataset,
@@ -51,9 +52,9 @@ def _parse_modes(raw: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in raw.split(",") if m.strip())
 
 
-def _embed_endpoint(args, expected_dim: int) -> EmbeddingEndpoint | None:
+def _embed_endpoint(args, expected_dim: int = 0) -> EmbeddingEndpoint | None:
     """The configured embedding endpoint, or None. Built either way, so every
-    verb checks ``--embed-timeout-ms`` whether or not a URL is set."""
+    verb checks ``--embed-timeout-ms``, URL or not, before it reads any file."""
     endpoint = EmbeddingEndpoint(
         url=args.embed_endpoint or os.environ.get(EMBED_ENDPOINT_ENV) or "",
         expected_dim=expected_dim,
@@ -106,11 +107,13 @@ def cmd_debias(args) -> int:
         modes=_parse_modes(args.modes),
         augment_endpoint=args.augment_endpoint,
     )
+    _embed_endpoint(args)
+    row = _query_row(args)
     reference = read_dataset(args.reference)
     space = pipeline.resolve_space(reference, args.attribute)
     cfg = replace(cfg, embed_endpoint=_embed_endpoint(args, reference.dim))
     index = build_index(reference)
-    resolved = pipeline.resolve_query(_query_row(args), space, index, cfg)
+    resolved = pipeline.resolve_query(row, space, index, cfg)
     reports, subsets = pipeline.run_query_reports(resolved, index, space, cfg)
     report = pipeline.debias_report_json(resolved, reports, subsets, index, space, cfg)
     _emit(report, args.out)
@@ -120,24 +123,24 @@ def cmd_debias(args) -> int:
 def cmd_retrieve(args) -> int:
     if args.k < 1:
         raise ConfigError("k must be at least 1")
+    if args.prior and args.attribute is None:
+        raise ConfigError("--prior needs --attribute to know which space to score")
+    _embed_endpoint(args)
+    query = None if args.vector is None else _parse_vector(args.vector)
+    prior = read_json(Path(args.prior), "prior file", ConfigError) if args.prior else None
     target = read_dataset(args.target)
     endpoint = _embed_endpoint(args, target.dim)
     metric_space = None
     if args.attribute is not None:
         metric_space = pipeline.resolve_space(target, args.attribute)
-    prior = None
-    if args.prior:
-        if metric_space is None:
-            raise ConfigError("--prior needs --attribute to know which space to score")
-        prior = pipeline.load_prior(args.prior, metric_space)
-    if args.text is not None:
+    if prior is not None:
+        prior = pipeline.validate_prior(prior, metric_space)
+    if query is None:
         if endpoint is None:
             raise MissingEndpoint(
                 "text queries need --embed-endpoint or BEND_EMBED_ENDPOINT"
             )
         query = embed_text([args.text], endpoint)[0]
-    else:
-        query = _parse_vector(args.vector)
     retrieved = pipeline.retrieve_top_k(target, query, args.k)
     report = pipeline.retrieval_report_json(
         target, retrieved, args.k, metric_space=metric_space, prior=prior
@@ -156,6 +159,8 @@ def cmd_evaluate(args) -> int:
         fold_count=args.folds,
         augment_endpoint=args.augment_endpoint,
     )
+    _embed_endpoint(args)
+    prior = read_json(Path(args.prior), "prior file", ConfigError) if args.prior else None
     reference = read_dataset(args.reference)
     target = read_dataset(args.target)
     queries = pipeline.load_queries(args.queries)
@@ -163,7 +168,7 @@ def cmd_evaluate(args) -> int:
     cfg = replace(
         cfg,
         embed_endpoint=_embed_endpoint(args, reference.dim),
-        prior=pipeline.load_prior(args.prior, space) if args.prior else None,
+        prior=None if prior is None else pipeline.validate_prior(prior, space),
     )
     report = pipeline.evaluate(
         queries,

@@ -3,8 +3,8 @@
 On-disk layout is one directory per dataset: ``manifest.json`` describing the
 shape and declared attributes, a raw little-endian float32 vector file with
 no header or padding, and a JSON-lines metadata file joined by line order.
-Vectors are upcast to float64 and unit-normalized on ingest, so similarity
-is a plain dot product everywhere downstream.
+A table keeps the float32 rows as read plus each row's float64 norm; its unit
+rows exist in float64 only a block at a time (``unit_rows``).
 """
 
 from __future__ import annotations
@@ -42,26 +42,34 @@ META_NAME = "meta.jsonl"
 QUERIES_NAME = "queries.jsonl"
 # Largest |squared row norm - 1| a table accepts.
 UNIT_NORM_TOL = 1e-6
-# Rows per block when vectors stream to or from disk: reading a table holds
-# the float64 table plus one float32 block, never a copy of the whole file.
+# Rows per block when vectors stream to or from disk, or pass through float64:
+# reading a table holds the float32 table plus one block, never a second copy.
 BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
 class LabeledEmbeddingTable:
-    """Attribute-labeled embeddings: an (N, d) matrix plus per-record metadata."""
+    """Attribute-labeled embeddings: (N, d) float32 rows, each row's float64
+    norm, and per-record metadata. Rows given without ``norms`` must be unit;
+    they are rounded to float32 once, with norms of 1."""
 
-    vectors: np.ndarray                      # (N, d) float64, unit rows
+    rows: np.ndarray                         # (N, d) float32, as stored
     ids: tuple[str, ...]
     attributes: dict[str, tuple[str, ...]]   # attribute name -> per-record labels
     classes: tuple[str | None, ...]
     spaces: dict[str, AttributeSpace]
+    norms: np.ndarray | None = None          # (N,) float64
 
     def __post_init__(self):
-        n = self.vectors.shape[0] if self.vectors.ndim == 2 else 0
+        given = None
+        if self.norms is None:
+            given = np.asarray(self.rows, dtype=np.float64)
+            object.__setattr__(self, "rows", given.astype(np.float32))
+            object.__setattr__(self, "norms", np.ones(len(given)))
+        n = self.rows.shape[0] if self.rows.ndim == 2 else 0
         if n < 1:
             raise EmptyTable("a table needs at least one record")
-        if self.vectors.ndim != 2 or self.vectors.shape[1] < 2:
+        if self.rows.ndim != 2 or self.rows.shape[1] < 2:
             raise ConfigError("vectors must be (N, d) with d >= 2")
         if len(self.ids) != n or len(self.classes) != n:
             raise MetadataError("ids/classes length does not match the vector count")
@@ -80,22 +88,28 @@ class LabeledEmbeddingTable:
         for name in self.attributes:
             if name not in self.spaces:
                 raise MetadataError(f"labels present for undeclared attribute {name!r}")
-        # Similarity is a plain dot product downstream, so rows must be unit.
-        squared_norms = np.einsum("ij,ij->i", self.vectors, self.vectors)
-        bad = np.flatnonzero(~(np.abs(squared_norms - 1.0) <= UNIT_NORM_TOL))
-        if bad.size:
-            raise NonUnitRow(
-                f"record {self.ids[bad[0]]!r} has squared norm "
-                f"{float(squared_norms[bad[0]])!r}; rows must be unit-normalized"
-            )
+        if given is not None:
+            # Similarity is a plain dot product downstream, so rows must be unit.
+            squared_norms = np.einsum("ij,ij->i", given, given)
+            bad = np.flatnonzero(~(np.abs(squared_norms - 1.0) <= UNIT_NORM_TOL))
+            if bad.size:
+                raise NonUnitRow(
+                    f"record {self.ids[bad[0]]!r} has squared norm "
+                    f"{float(squared_norms[bad[0]])!r}; rows must be unit-normalized"
+                )
 
     @property
     def count(self) -> int:
-        return self.vectors.shape[0]
+        return self.rows.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[1]
+        return self.rows.shape[1]
+
+    def unit_rows(self, idx) -> np.ndarray:
+        """The float64 unit rows at ``idx`` (indices or a slice): each float32
+        row upcast and divided by its norm, the bits ingest has always given."""
+        return np.divide(self.rows[idx], self.norms[idx, None])
 
     @cached_property
     def id_rank(self) -> np.ndarray:
@@ -126,7 +140,8 @@ class LabeledEmbeddingTable:
     def subset(self, indices: Sequence[int]) -> "LabeledEmbeddingTable":
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledEmbeddingTable(
-            vectors=self.vectors[idx],
+            rows=self.rows[idx],
+            norms=self.norms[idx],
             ids=tuple(self.ids[i] for i in idx),
             attributes={
                 name: tuple(labels[i] for i in idx)
@@ -172,36 +187,33 @@ def _space_from_json(obj) -> AttributeSpace:
     )
 
 
-def _normalize_rows(rows: np.ndarray, first: int, what: str) -> int | None:
-    """Unit-normalize ``rows``, records ``first`` onward, in place.
-
-    A non-finite row raises ``NonUnitRow``. If a row is zero, nothing is
-    divided and the first zero record is returned, so a reader streaming
-    blocks can still report a later non-finite row first.
-    """
-    norms = np.linalg.norm(rows, axis=1)
+def _row_norms(rows: np.ndarray, first: int, what: str) -> tuple[np.ndarray, int | None]:
+    """The float64 norms of ``rows``, records ``first`` onward, and the first
+    zero record or None. A non-finite row raises ``NonUnitRow``; a zero row is
+    not raised, so a reader streaming blocks can report a later non-finite one."""
+    # np.linalg.norm's sum of squares, squared in float64 without a copy first.
+    norms = np.sqrt(np.add.reduce(np.square(rows, dtype=np.float64), axis=1))
     finite = np.isfinite(norms)
     if not finite.all():
         bad = first + int(np.argmin(finite))
         raise NonUnitRow(f"{what} record {bad} has a non-finite component")
     zero = norms <= ZERO_NORM_EPS
-    if zero.any():
-        return first + int(np.argmax(zero))
-    rows /= norms[:, None]
-    return None
+    return norms, first + int(np.argmax(zero)) if zero.any() else None
 
 
-def _read_vectors(handle: BinaryIO, path: Path, count: int, dim: int) -> np.ndarray:
-    """Stream ``count`` float32 rows into one float64 table, normalizing by block.
+def _read_vectors(
+    handle: BinaryIO, path: Path, count: int, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stream ``count`` float32 rows into one table, with each row's norm.
 
-    Only the table and one float32 block are ever held. A zero row is
+    Only the table and one block in float64 are ever held. A zero row is
     reported after the last block, since a non-finite row anywhere comes first.
     """
-    table = np.empty((count, dim), dtype=np.float64)
-    buffer = np.empty((min(BLOCK_ROWS, count), dim), dtype="<f4")
+    table = np.empty((count, dim), dtype="<f4")
+    norms = np.empty(count)
     zero = None
     for start in range(0, count, BLOCK_ROWS):
-        block = buffer[: min(BLOCK_ROWS, count - start)]
+        block = table[start : start + BLOCK_ROWS]
         try:
             got = handle.readinto(block)
         except OSError as exc:
@@ -211,14 +223,12 @@ def _read_vectors(handle: BinaryIO, path: Path, count: int, dim: int) -> np.ndar
                 f"vector file ended after {start * dim * 4 + got} bytes, "
                 f"expected {count * dim * 4} ({count} x {dim} float32)"
             )
-        rows = table[start : start + block.shape[0]]
-        rows[...] = block
-        found = _normalize_rows(rows, start, "dataset")
+        norms[start : start + block.shape[0]], found = _row_norms(block, start, "dataset")
         if zero is None:
             zero = found
     if zero is not None:
         raise MetadataError(f"dataset record {zero} has a zero vector")
-    return table
+    return table.astype(np.float32, copy=False), norms
 
 
 def _read_text(path: Path, what: str, invalid: type[BendError]) -> str:
@@ -346,10 +356,11 @@ def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
             )
         # Metadata errors come before vector errors, so parse it first.
         ids, classes, labels = _read_meta(base / meta_file, count, spaces)
-        vectors = _read_vectors(handle, vec_path, count, dim)
+        rows, norms = _read_vectors(handle, vec_path, count, dim)
 
     return LabeledEmbeddingTable(
-        vectors=vectors,
+        rows=rows,
+        norms=norms,
         ids=tuple(ids),
         attributes={name: tuple(vals) for name, vals in labels.items()},
         classes=tuple(classes),
@@ -371,7 +382,7 @@ def write_dataset(
         out_dir.mkdir(parents=True, exist_ok=True)
         with (out_dir / VECTORS_NAME).open("wb") as handle:
             for start in range(0, table.count, BLOCK_ROWS):
-                block = table.vectors[start : start + BLOCK_ROWS]
+                block = table.unit_rows(slice(start, start + BLOCK_ROWS))
                 handle.write(np.ascontiguousarray(block, dtype="<f4"))
         with (out_dir / META_NAME).open("w", encoding="utf-8") as handle:
             for i, record_id in enumerate(table.ids):
@@ -600,11 +611,11 @@ def synth_generate(spec: SynthSpec) -> LabeledEmbeddingTable:
         labels += [cell.value] * cell.count
         classes += [cell.class_name] * cell.count
     vectors = np.concatenate(blocks)
-    zero = _normalize_rows(vectors, 0, "synthetic")
+    norms, zero = _row_norms(vectors, 0, "synthetic")
     if zero is not None:
         raise MetadataError(f"synthetic record {zero} has a zero vector")
     return LabeledEmbeddingTable(
-        vectors=vectors,
+        rows=vectors / norms[:, None],
         ids=tuple(f"r{index:06d}" for index in range(len(labels))),
         attributes={spec.space.name: tuple(labels)},
         classes=tuple(classes),

@@ -77,20 +77,16 @@ def max_skew(retrieved: Mapping[str, float], prior: Mapping[str, float]) -> floa
     return max(ratios)
 
 
-def sorted_group_auc(ordered: np.ndarray, hits: np.ndarray) -> float:
-    """ROC AUC via the Mann-Whitney rank statistic, ties credited 0.5, from a
-    group's ascending scores and its positives' scores."""
-    n_pos = hits.shape[0]
-    n_neg = ordered.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
+def sorted_group_auc(hits: np.ndarray, misses: np.ndarray) -> float:
+    """ROC AUC via the Mann-Whitney statistic, ties credited 0.5, from a group's
+    ascending positive scores and ascending negative scores."""
+    if hits.shape[0] == 0 or misses.shape[0] == 0:
         raise DegenerateGroup("AUC needs at least one positive and one negative")
-    # A score whose tie run spans sorted positions [left, right) has the
-    # 1-based midrank (left + 1 + right) / 2; summed as integers, it is exact.
-    # Ascending keys search faster: each search starts where the last ended.
-    hits = np.sort(hits)
-    edges = np.searchsorted(ordered, hits, "left") + np.searchsorted(ordered, hits, "right")
-    u_stat = (int(edges.sum()) + n_pos) / 2.0 - n_pos * (n_pos + 1) / 2.0
-    return u_stat / (n_pos * n_neg)
+    # Twice each positive's count of lower negatives plus its ties, summed as
+    # integers, so the statistic is exact. Ascending keys search faster: each
+    # search starts where the last ended.
+    twice = np.searchsorted(misses, hits, "left") + np.searchsorted(misses, hits, "right")
+    return int(twice.sum()) / 2.0 / (hits.shape[0] * misses.shape[0])
 
 
 def worst_group_auc(groups: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> float:
@@ -108,7 +104,8 @@ def worst_group_auc(groups: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> floa
         if scores.shape[0] == 0:
             raise DegenerateGroup(f"group {value!r} has no scores")
         try:
-            auc = sorted_group_auc(np.sort(scores), scores[np.asarray(positive, dtype=bool)])
+            positive = np.asarray(positive, dtype=bool)
+            auc = sorted_group_auc(np.sort(scores[positive]), np.sort(scores[~positive]))
         except DegenerateGroup as exc:
             raise DegenerateGroup(f"group {value!r}: {exc}") from None
         worst = auc if worst is None else min(worst, auc)

@@ -22,7 +22,7 @@ from .augment import (
     mentions_attribute,
 )
 from .client import EmbeddingEndpoint, embed_text
-from .dataset import LabeledEmbeddingTable, make_folds, read_json, read_json_lines
+from .dataset import LabeledEmbeddingTable, make_folds, read_json_lines
 from .equalize import MODES, DebiasReport, debias
 from .errors import (
     BendError,
@@ -37,18 +37,18 @@ from .metrics import worst_group_auc  # noqa: F401  (perfbench's span looks it u
 from .reference_index import (
     ReferenceIndex,
     RelevantSubsets,
+    Scores,
     build_index,
-    order_certified,
     relevant_subsets,
     retrieve_top_k,  # the CLI's retrieve verb calls it through this module
+    score_block,
     top_n_by_attribute,
-    top_rows,
 )
 from .reporting import SCHEMA, summary_stats
 from .subspace import AttributeMatrix, build_attribute_matrix, orthogonalize
 from .vectors import Vector, normalize, number_vector
 
-# Finals that ``evaluate`` scores with one GEMM: 6.4 MB of scores at 50k rows.
+# Finals that ``evaluate`` screens with one GEMM: 3.2 MB of float32 at 50k rows.
 SCORE_BLOCK_COLUMNS = 16
 
 
@@ -156,10 +156,6 @@ def load_queries(path: str | Path) -> list[QueryRow]:
     if not rows:
         raise MetadataError(f"queries file {path} holds no queries")
     return rows
-
-
-def load_prior(path: str | Path, space: AttributeSpace) -> dict[str, float]:
-    return validate_prior(read_json(Path(path), "prior file", ConfigError), space)
 
 
 def validate_prior(probs, space: AttributeSpace) -> dict[str, float]:
@@ -365,63 +361,69 @@ def _fold_layout(folds: Sequence[np.ndarray], codes: np.ndarray, values: int) ->
 
 
 def _auc_reads(layout: _FoldLayout, positive: np.ndarray) -> list[list[tuple[slice, np.ndarray]]]:
-    """Per fold, the groups its worst-group AUC reads, each with its positives'
-    positions in it; none where that AUC is undefined (a group of one class)."""
+    """Per fold, the groups its worst-group AUC reads, each with its positive
+    mask; none where that AUC is undefined (a group of one class)."""
     reads = []
     for groups in layout.groups:
-        hits = [np.flatnonzero(positive[layout.rows[g]]) for g in groups]
-        defined = all(0 < h.size < g.stop - g.start for g, h in zip(groups, hits))
-        reads.append(list(zip(groups, hits)) if defined else [])
+        masks = [positive[layout.rows[g]] for g in groups]
+        defined = all(0 < mask.sum() < mask.size for mask in masks)
+        reads.append(list(zip(groups, masks)) if defined else [])
     return reads
 
 
-def _fold_tops(
-    target: LabeledEmbeddingTable, scores: np.ndarray, fold_of: np.ndarray,
-    fold_count: int, k: int, certify: bool = False,
-) -> list[np.ndarray] | None:
-    """Every fold's ``top_rows`` over the rows outside it, read off one ranking;
-    with ``certify``, None unless the order that ranking reads is certified.
-
-    Rows past the first ``limit`` of the ranking sort after all of them, so a
-    fold with k pool rows among them has its exact top-k; ``limit`` doubles
-    until every fold has, or the ranking covers the table. One row more is
-    ranked, so that a certified gap below row ``limit`` fixes which rows the
-    first ``limit`` are.
-    """
-    rows = np.arange(scores.shape[0])
+def _fold_tops(scores: Scores, fold_of: np.ndarray, fold_count: int, k: int) -> list[np.ndarray]:
+    """Every fold's top-k over the rows outside it, as a set, off one ranking:
+    the rows screening at or above the ``limit``-th best. Once each fold's k-th
+    best ranked row screens ``band`` above that cut, no row left out can enter
+    its top-k, so ``Scores.best`` over the ranked rows is exact; ``limit``
+    doubles until then, or until the ranking covers the table."""
+    screen = scores.screen
     limit = 2 * k
     while True:
-        ranked = top_rows(target, scores, rows, limit + 1)
-        if certify and not order_certified(scores[ranked[::-1]], target.dim):
-            return None
-        ranked = ranked[:limit]
+        cut = np.partition(screen, -limit)[-limit] if limit < screen.size else -np.inf
+        ranked = np.flatnonzero(screen >= cut)
         owner = fold_of[ranked]
-        tops = [ranked[owner != f][:k] for f in range(fold_count)]
-        if limit >= rows.size or all(top.size == k for top in tops):
-            return tops
+        pools = [ranked[owner != f] for f in range(fold_count)]
+        if cut == -np.inf or all(
+            pool.size >= k and np.partition(screen[pool], -k)[-k] - scores.band >= cut
+            for pool in pools
+        ):
+            return [scores.best(pool, k) for pool in pools]
         limit *= 2
 
 
-def _fold_metrics(
-    target: LabeledEmbeddingTable, layout: _FoldLayout, reads: list, scores: np.ndarray,
-    k: int, certify: bool,
-) -> tuple[list[np.ndarray], list[float | None]] | None:
-    """Each fold's top-k rows and worst-group AUC (None where undefined) off one
-    score column; with ``certify``, None unless each order they read, the
-    ranking and every group the AUCs sort, is certified."""
-    tops = _fold_tops(target, scores, layout.fold_of, len(layout.groups), k, certify)
-    if tops is None:
-        return None
-    grouped = scores[layout.rows] if any(reads) else None
+def _within(values: np.ndarray, ascending: np.ndarray, band: float) -> np.ndarray:
+    """Whether each of ``values`` lies within ``band`` of one of ``ascending``."""
+    below = np.searchsorted(ascending, values - band, "left")
+    return below < np.searchsorted(ascending, values + band, "right")
+
+
+def _group_auc(scores: Scores, rows: np.ndarray, screen: np.ndarray, positive: np.ndarray) -> float:
+    """A held-out group's AUC off its screen, with every row of a
+    positive-negative pair within ``band`` rescored: only such a pair can order
+    differently, so the statistic is the scores' own."""
+    hits, misses = np.sort(screen[positive]), np.sort(screen[~positive])
+    if _within(hits, misses, scores.band).any():
+        hit_rows, miss_rows = np.flatnonzero(positive), np.flatnonzero(~positive)
+        near = hit_rows[_within(screen[hit_rows], misses, scores.band)]
+        # A negative near any positive is near one of ``near``.
+        close = _within(screen[miss_rows], np.sort(screen[near]), scores.band)
+        near = np.concatenate([near, miss_rows[close]])
+        screen = screen.copy()
+        screen[near] = scores.exact(rows[near])
+        hits, misses = np.sort(screen[positive]), np.sort(screen[~positive])
+    return sorted_group_auc(hits, misses)
+
+
+def _fold_metrics(layout: _FoldLayout, reads: list, scores: Scores, k: int) -> tuple[list, list]:
+    """Each fold's top-k rows and worst-group AUC (None where undefined)."""
+    tops = _fold_tops(scores, layout.fold_of, len(layout.groups), k)
+    grouped = scores.screen[layout.rows] if any(reads) else None
     aucs = []
     for groups in reads:
         worst = None
-        for group, hits in groups:
-            group_scores = grouped[group]
-            ordered = np.sort(group_scores)
-            if certify and not order_certified(ordered, target.dim):
-                return None
-            auc = sorted_group_auc(ordered, group_scores[hits])
+        for group, positive in groups:
+            auc = _group_auc(scores, layout.rows[group], grouped[group], positive)
             worst = auc if worst is None else min(worst, auc)
         aucs.append(worst)
     return tops, aucs
@@ -496,11 +498,10 @@ def evaluate(
 
     Per-query failures become error entries rather than aborting the run.
     Queries run in blocks of at most ``SCORE_BLOCK_COLUMNS`` finals, each block
-    on its own: one GEMM ranks the reference for the block's step-1 queries,
-    where certified, and one GEMM scores its finals against the target. A
-    final's column is kept where the orders its fold metrics read are
-    certified (``_fold_metrics``), else rescored by its GEMV. The returned
-    dict is ready for deterministic serialization.
+    on its own: one float32 GEMM screens the reference for the block's step-1
+    queries, and one screens the target for its finals; the rows the screens
+    cannot place are rescored (``Scores``). The returned dict is ready for
+    deterministic serialization.
     """
     if reference.dim != target.dim:
         raise DimensionMismatch(
@@ -534,26 +535,16 @@ def evaluate(
         except BendError as exc:
             return failed(row, exc)
 
-    def debiased(first: _Step1, column: np.ndarray) -> _Debiased | dict:
-        """The query debiased in every mode, its subsets read off ``column``."""
+    def debiased(first: _Step1, ranking: Scores) -> _Debiased | dict:
+        """The query debiased in every mode, its subsets ranked by ``ranking``."""
         try:
-            subsets, certified = relevant_subsets(reference, partition, column, cfg.n)
-            if not certified:
-                subsets = top_n_by_attribute(index, first.ranking, space, cfg.n)
+            subsets = relevant_subsets(partition, ranking, cfg.n)
             return _Debiased(first.resolved, _step2(first, subsets, cfg), subsets)
         except BendError as exc:
             return failed(first.resolved.row, exc)
 
-    def fold_metrics(reads, final: Vector, column: np.ndarray):
-        """The fold metrics off the GEMM ``column`` where certified, else off the
-        GEMV, which orders rows as every score column must."""
-        return (
-            _fold_metrics(target, layout, reads, column, cfg.k, certify=True)
-            or _fold_metrics(target, layout, reads, target.vectors @ final, cfg.k, certify=False)
-        )
-
-    def scored(done: _Debiased, pairs: Sequence[tuple[Vector, np.ndarray]]) -> dict:
-        """The entry of a debiased query, from each mode's final and GEMM column."""
+    def scored(done: _Debiased, columns: Sequence[Scores]) -> dict:
+        """The entry of a debiased query, from each mode's final's scores."""
         resolved, subsets = done.resolved, done.subsets
         row = resolved.row
         # No class, or one the target lacks, matches no row: every fold AUC is None.
@@ -568,10 +559,10 @@ def evaluate(
                 "n_used": subsets.n_used if subsets is not None else None,
                 "modes": {
                     mode: _mode_entry(
-                        done.reports[mode], *fold_metrics(reads, *pair), layout.pool_sizes,
-                        target, space, prior, cfg,
+                        done.reports[mode], *_fold_metrics(layout, reads, scores, cfg.k),
+                        layout.pool_sizes, target, space, prior, cfg,
                     )
-                    for mode, pair in zip(cfg.modes, pairs)
+                    for mode, scores in zip(cfg.modes, columns)
                 },
             }
         except BendError as exc:
@@ -583,14 +574,14 @@ def evaluate(
         firsts = [step1(row) for row in queries[start : start + per_block]]
         # As top_n_by_attribute normalizes; orthogonalize's unit vectors cannot fail.
         units = [normalize(f.ranking) for f in firsts if isinstance(f, _Step1)]
-        ranked = iter(np.stack(units) @ reference.vectors.T if units else ())
+        ranked = iter(score_block(reference, units))
         block = [debiased(f, next(ranked)) if isinstance(f, _Step1) else f for f in firsts]
         # Every final is a unit vector already, so normalizing it cannot fail.
         finals = [
             normalize(d.reports[mode].final)
             for d in block if isinstance(d, _Debiased) for mode in cfg.modes
         ]
-        columns = zip(finals, np.stack(finals) @ target.vectors.T if finals else ())
+        columns = iter(score_block(target, finals))
         entries.extend(
             d if isinstance(d, dict) else scored(d, [next(columns) for _ in cfg.modes])
             for d in block

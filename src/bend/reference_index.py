@@ -1,8 +1,9 @@
 """Exact cosine retrieval over labeled embedding tables.
 
 A deliberate linear scan: desk-scale corpora make exactness cheap, and
-auditable fairness math is worth more than approximate speed. Ties always
-break by ascending record id so runs are reproducible across platforms.
+auditable fairness math is worth more than approximate speed. A score is one
+fixed-order float64 sum that no BLAS computes, and ties always break by
+ascending record id, so ranks do not depend on the platform or thread count.
 """
 
 from __future__ import annotations
@@ -10,18 +11,18 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .augment import AttributeSpace
-from .dataset import UNIT_NORM_TOL, LabeledEmbeddingTable
+from .dataset import BLOCK_ROWS, UNIT_NORM_TOL, LabeledEmbeddingTable
 from .errors import ConfigError, DimensionMismatch, EmptyGroup, UnknownLabel
 from .vectors import Vector, as_vector, normalize
 
-# Rows gathered per step when averaging a group, so a mean never copies a
-# whole group out of the table.
-MEAN_BLOCK_ROWS = 4096
+# The norms a float32 screen is bounded for: above, a float32 sum could
+# overflow; below, underflow could outweigh the bound. Rows outside are rescored.
+SCREEN_NORMS = (2.0**-40, 2.0**100)
 
 
 @dataclass(frozen=True)
@@ -69,21 +70,20 @@ class ReferenceIndex:
             for value, idx in self.partition(attribute).items():
                 if idx.size == 0:
                     raise EmptyGroup(f"attribute value {value!r} has no records")
-                means[value] = _mean_rows(self.table.vectors, idx)
+                means[value] = _mean_rows(self.table, idx)
                 means[value].flags.writeable = False
             self._means[attribute] = means
         return dict(means)
 
 
-def _mean_rows(vectors: np.ndarray, idx: np.ndarray) -> Vector:
-    """``vectors[idx].mean(axis=0)`` bit for bit, gathering one block at a time.
-
-    An axis-0 sum adds rows in order into one running row, so putting that
-    row first in the next block continues the same sum.
+def _mean_rows(table: LabeledEmbeddingTable, idx: np.ndarray) -> Vector:
+    """``unit_rows(idx).mean(axis=0)`` bit for bit, gathering one block at a time,
+    so a mean never copies a whole group. An axis-0 sum adds rows in order into
+    one running row, so putting that row first in the next block continues it.
     """
-    total = np.zeros(vectors.shape[1])
-    for start in range(0, idx.size, MEAN_BLOCK_ROWS):
-        rows = vectors[idx[start : start + MEAN_BLOCK_ROWS]]
+    total = np.zeros(table.dim)
+    for start in range(0, idx.size, BLOCK_ROWS):
+        rows = table.unit_rows(idx[start : start + BLOCK_ROWS])
         total = np.add.reduce(np.vstack([total[None], rows]), axis=0)
     return total / idx.size
 
@@ -92,60 +92,98 @@ def build_index(table: LabeledEmbeddingTable) -> ReferenceIndex:
     return ReferenceIndex(table)
 
 
-def top_rows(
-    table: LabeledEmbeddingTable, scores: np.ndarray, rows: np.ndarray, limit: int
-) -> np.ndarray:
-    """The ``limit`` best of ``rows`` by ``scores``: descending score, then ascending id.
-
-    Only rows scoring at or above the ``limit``-th best score are sorted. That
-    keeps the whole tie run at the cutoff, so the tie rule is unchanged; scores
-    are finite, so ``>=`` selects exactly those rows.
-    """
-    candidates = scores[rows]
-    if limit < rows.size:
-        keep = np.flatnonzero(candidates >= np.partition(candidates, -limit)[-limit])
-        rows, candidates = rows[keep], candidates[keep]
-    return rows[np.lexsort((table.id_rank[rows], -candidates))[:limit]]
-
-
 @functools.cache
-def _score_error_bound(dim: int) -> float:
-    """The most two float64 evaluations of one score can differ by: 2γ·‖t‖·‖q‖
-    (README, "Evaluation protocol"), widened for norm tolerance, rounding and underflow."""
-    u = np.finfo(np.float64).eps / 2
-    gamma = dim * u / (1 - dim * u)
-    norms = math.sqrt(1 + UNIT_NORM_TOL) * (1 + 4 * gamma + 16 * u)
-    return 2 * gamma * norms + 2 * dim * np.finfo(np.float64).smallest_subnormal
+def screen_error_bound(dim: int) -> float:
+    """The most a row's screen can differ from its score (README, "Evaluation
+    protocol"): the query's float32 cast, the float32 sum in any order, the
+    score's own float64 rounding and the scale by 1/norm, plus underflow."""
+    u32, u64 = np.finfo(np.float32).eps / 2, np.finfo(np.float64).eps / 2
+    g32, g64 = dim * u32 / (1 - dim * u32), dim * u64 / (1 - dim * u64)
+    weight = math.sqrt(1 + UNIT_NORM_TOL) * (1 + 4 * g64)
+    underflow = 4 * dim * float(np.finfo(np.float32).tiny) / SCREEN_NORMS[0]
+    return ((u32 + g32) * (1 + 2 * g32) + 3 * g64) * weight + underflow
 
 
-def order_certified(ascending: np.ndarray, dim: int) -> bool:
-    """Whether every evaluation of these ascending scores orders them this way:
-    each gap exceeds twice ``_score_error_bound``."""
-    return bool(np.all(ascending[1:] - ascending[:-1] > 2 * _score_error_bound(dim)))
+class Scores:
+    """One unit query's scores over a table's rows. A score is the float64
+    ``np.add.reduce(unit_row * query)``, numpy's fixed-order pairwise sum. The
+    ``screen``, each row's float32 BLAS product over its norm, lies within
+    ``eps`` of it (is it, outside ``SCREEN_NORMS``), so rows whose screens are
+    over ``band`` apart (2eps, plus 16u for rounding in comparisons) order as
+    their screens do; only the others are rescored."""
+
+    def __init__(self, table: LabeledEmbeddingTable, query: Vector, screen=None):
+        self.table, self.query = table, query
+        if screen is None:
+            with np.errstate(over="ignore", invalid="ignore"):  # rows outside SCREEN_NORMS
+                screen = table.rows @ query.astype(np.float32)
+        self.screen = screen / table.norms
+        self.eps = screen_error_bound(table.dim)
+        self.band = 2 * self.eps + 16 * np.finfo(np.float64).eps / 2
+        low, high = SCREEN_NORMS
+        if table.norms.min() < low or table.norms.max() > high:  # rows the bound does not cover
+            rows = np.flatnonzero((table.norms < low) | (table.norms > high))
+            self.screen[rows] = self.exact(rows)
+
+    def exact(self, rows: np.ndarray) -> np.ndarray:
+        """The scores of ``rows``, rescored a block of rows at a time."""
+        out = np.empty(rows.size)
+        for start in range(0, rows.size, BLOCK_ROWS):
+            unit = self.table.unit_rows(rows[start : start + BLOCK_ROWS])
+            unit *= self.query
+            out[start : start + unit.shape[0]] = np.add.reduce(unit, axis=1)
+        return out
+
+    def best(self, rows: np.ndarray, limit: int) -> np.ndarray:
+        """The ``limit`` best of ``rows`` by descending score, then ascending
+        id, in no order (all of them when fewer). With t the ``limit``-th best
+        screen, a row screening over t + band is outscored only by rows that
+        screen over t, fewer than ``limit``, so it is in; one under t - band is
+        outscored by the ``limit`` rows screening t or more, so it is out. The
+        rows between are rescored, and fill the rest."""
+        if limit >= rows.size:
+            return rows
+        screen = self.screen[rows]
+        cut = np.partition(screen, -limit)[-limit]
+        low, high = cut - self.band, cut + self.band
+        sure = rows[screen > high]
+        band = rows[(screen >= low) & (screen <= high)]
+        if band.size > limit - sure.size:
+            band = band[np.lexsort((self.table.id_rank[band], -self.exact(band)))]
+        return np.concatenate([sure, band[: limit - sure.size]])
+
+    def top(self, rows: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``limit`` best of ``rows``, best first, and their scores."""
+        chosen = self.best(rows, limit)
+        scores = self.exact(chosen)
+        order = np.lexsort((self.table.id_rank[chosen], -scores))
+        return chosen[order], scores[order]
 
 
-def relevant_subsets(
-    table: LabeledEmbeddingTable, partition: dict[str, np.ndarray], scores: np.ndarray, n: int
-) -> tuple[RelevantSubsets, bool]:
-    """Each value's n best ``partition`` rows by ``scores``, and whether each value's
-    top n + 1 (whole group when smaller) is order-certified, as any evaluation of
-    the scores must then pick the same rows in the same order."""
+def score_block(table: LabeledEmbeddingTable, queries: Sequence[Vector]) -> list[Scores]:
+    """Each unit query's ``Scores``, all screened by one float32 GEMM."""
+    with np.errstate(over="ignore", invalid="ignore"):  # rows outside SCREEN_NORMS
+        screens = np.stack(queries).astype(np.float32) @ table.rows.T if queries else ()
+    return [Scores(table, query, screen) for query, screen in zip(queries, screens)]
+
+
+def relevant_subsets(partition: dict[str, np.ndarray], scores: Scores, n: int) -> RelevantSubsets:
+    """Each value's n best ``partition`` rows by ``scores``, in rank order."""
     tops = {}
     for value, members in partition.items():
         if members.size == 0:
             raise EmptyGroup(f"attribute value {value!r} has no reference records")
-        tops[value] = top_rows(table, scores, members, n + 1)
-    subsets = RelevantSubsets(
-        indices={value: tuple(top[:n].tolist()) for value, top in tops.items()},
-        means={value: table.vectors[top[:n]].mean(axis=0) for value, top in tops.items()},
+        tops[value] = scores.top(members, n)[0]
+    return RelevantSubsets(
+        indices={value: tuple(top.tolist()) for value, top in tops.items()},
+        means={value: scores.table.unit_rows(top).mean(axis=0) for value, top in tops.items()},
     )
-    return subsets, all(order_certified(scores[top[::-1]], table.dim) for top in tops.values())
 
 
 def top_n_by_attribute(
     index: ReferenceIndex, query, space: AttributeSpace, n: int
 ) -> RelevantSubsets:
-    """The n records per attribute value most similar to the query, by GEMV.
+    """The n records per attribute value most similar to the query.
 
     Groups smaller than n are used whole. Raises ``EmptyGroup`` when a value
     has no records at all, since equalization then has nothing to balance.
@@ -153,7 +191,7 @@ def top_n_by_attribute(
     if n < 1:
         raise ConfigError("n must be at least 1")
     partition = index.partition(space.name)
-    return relevant_subsets(index.table, partition, index.table.vectors @ normalize(query), n)[0]
+    return relevant_subsets(partition, Scores(index.table, normalize(query)), n)
 
 
 def retrieve_top_k(table: LabeledEmbeddingTable, query, k: int) -> list[Retrieved]:
@@ -165,9 +203,6 @@ def retrieve_top_k(table: LabeledEmbeddingTable, query, k: int) -> list[Retrieve
         raise DimensionMismatch(
             f"query has dimension {query.shape[0]}, table {table.dim}"
         )
-    similarities = table.vectors @ normalize(query)
-    rows = top_rows(table, similarities, np.arange(table.count), k)
-    return [
-        Retrieved(row, table.ids[row], similarity)
-        for row, similarity in zip(rows.tolist(), similarities[rows].tolist())
-    ]
+    rows, similarities = Scores(table, normalize(query)).top(np.arange(table.count), k)
+    rows = rows.tolist()
+    return list(map(Retrieved, rows, map(table.ids.__getitem__, rows), similarities.tolist()))

@@ -126,7 +126,7 @@ def test_criterion_4_orthogonalization_alone_is_not_fair():
         male = np.array(body["reference"]["male"])
         female = np.array(body["reference"]["female"])
         table = LabeledEmbeddingTable(
-            vectors=np.vstack([male, female]),
+            rows=np.vstack([male, female]),
             ids=tuple(f"r{i:03d}" for i in range(40)),
             attributes={"gender": ("male",) * 20 + ("female",) * 20},
             classes=(None,) * 40,
@@ -190,4 +190,6 @@ def test_criterion_8_io_round_trip(rng, tmp_path):
         assert back.ids == table.ids
         assert back.attributes == table.attributes
         assert back.classes == table.classes
-        assert np.allclose(back.vectors, table.vectors, rtol=1.2e-7, atol=1.2e-7)
+        assert np.allclose(
+            back.unit_rows(slice(None)), table.unit_rows(slice(None)), rtol=1.2e-7, atol=1.2e-7
+        )

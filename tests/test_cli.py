@@ -169,7 +169,7 @@ class TestDebias:
         # identical vectors for both groups: attribute directions vanish
         vectors = np.tile(np.array([[1.0, 0.0, 0.0, 0.0]]), (6, 1))
         table = LabeledEmbeddingTable(
-            vectors=vectors,
+            rows=vectors,
             ids=tuple(f"r{i}" for i in range(6)),
             attributes={"gender": ("male", "female") * 3},
             classes=(None,) * 6,
@@ -697,3 +697,36 @@ class TestBoundaryErrors:
         }[verb]
         assert main(args + flags) == 2
         assert "ConfigError" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "verb, flags, code, message",
+        [
+            ("debias", ["--vector", '[1.0, "x"]'], 2, "ConfigError: query vector"),
+            ("debias", ["--embed-timeout-ms", "0"], 2, "ConfigError: the embedding timeout"),
+            ("retrieve", ["--vector", "[1.0, NaN]"], 5, "NonFiniteValue"),
+            ("retrieve", ["--prior", "BAD_JSON"], 2, "ConfigError: prior file"),
+            ("retrieve", ["--prior", "MISSING"], 3, "DatasetIOError: cannot read prior file"),
+            ("evaluate", ["--embed-timeout-ms", "-1"], 2, "ConfigError: the embedding timeout"),
+            ("evaluate", ["--prior", "MISSING"], 3, "DatasetIOError: cannot read prior file"),
+        ],
+        ids=["debias-vector", "debias-timeout", "retrieve-vector", "retrieve-prior-json",
+             "retrieve-prior-missing", "evaluate-timeout", "evaluate-prior-missing"],
+    )
+    def test_bad_input_flag_is_reported_before_loading_any_table(
+        self, tmp_path, capsys, verb, flags, code, message
+    ):
+        # Every table is missing too, which would exit 3 naming a manifest.
+        missing = str(tmp_path / "missing" / MANIFEST_NAME)
+        (tmp_path / "bad.json").write_text("{not json")
+        files = {"BAD_JSON": str(tmp_path / "bad.json"), "MISSING": str(tmp_path / "no.json")}
+        flags = [files.get(flag, flag) for flag in flags]
+        vector = [] if "--vector" in flags else ["--vector", json.dumps([1.0] + [0.0] * 15)]
+        args = {
+            "debias": ["debias", "--reference", missing, "--attribute", "gender", *vector],
+            "retrieve": ["retrieve", "--target", missing, "--attribute", "gender", *vector],
+            "evaluate": ["evaluate", str(tmp_path / "missing.jsonl"), "--reference", missing,
+                         "--target", missing, "--attribute", "gender"],
+        }[verb]
+        assert main(args + flags) == code
+        assert message in capsys.readouterr().err

@@ -44,7 +44,7 @@ def small_table(rng, count=12, dim=4):
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     labels = tuple("male" if i % 2 == 0 else "female" for i in range(count))
     return LabeledEmbeddingTable(
-        vectors=vectors,
+        rows=vectors,
         ids=tuple(f"r{i:04d}" for i in range(count)),
         attributes={"gender": labels},
         classes=tuple(None for _ in range(count)),
@@ -72,7 +72,7 @@ class TestTableValidation:
         vectors = rng.standard_normal((2, 4))
         with pytest.raises(MetadataError):
             LabeledEmbeddingTable(
-                vectors=vectors,
+                rows=vectors,
                 ids=("a", "a"),
                 attributes={"gender": ("male", "female")},
                 classes=(None, None),
@@ -82,7 +82,7 @@ class TestTableValidation:
     def test_unknown_label_rejected(self, rng):
         with pytest.raises(UnknownLabel):
             LabeledEmbeddingTable(
-                vectors=rng.standard_normal((2, 4)),
+                rows=rng.standard_normal((2, 4)),
                 ids=("a", "b"),
                 attributes={"gender": ("male", "robot")},
                 classes=(None, None),
@@ -93,7 +93,7 @@ class TestTableValidation:
     def test_non_unit_row_rejected(self, bad_row):
         with pytest.raises(NonUnitRow) as excinfo:
             LabeledEmbeddingTable(
-                vectors=np.array([[1.0, 0.0], bad_row]),
+                rows=np.array([[1.0, 0.0], bad_row]),
                 ids=("a", "b"),
                 attributes={"gender": ("male", "female")},
                 classes=(None, None),
@@ -105,7 +105,7 @@ class TestTableValidation:
     def test_empty_rejected(self):
         with pytest.raises(EmptyTable):
             LabeledEmbeddingTable(
-                vectors=np.empty((0, 4)),
+                rows=np.empty((0, 4)),
                 ids=(),
                 attributes={"gender": ()},
                 classes=(),
@@ -123,7 +123,9 @@ class TestRoundTrip:
         assert back.classes == table.classes
         assert back.spaces["gender"].generic_prompts == GENDER.generic_prompts
         # float32 storage: componentwise within the quantization bound
-        assert np.allclose(back.vectors, table.vectors, rtol=1.2e-7, atol=1.2e-7)
+        assert np.allclose(
+            back.unit_rows(slice(None)), table.unit_rows(slice(None)), rtol=1.2e-7, atol=1.2e-7
+        )
 
     def test_refuses_nonempty_dir_without_force(self, rng, tmp_path):
         table = small_table(rng)
@@ -253,7 +255,7 @@ class TestStreamedIngest:
         blob = (tmp_path / "ds" / "vectors.f32").read_bytes()
         whole = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(count, 5)
         expected = whole / np.linalg.norm(whole, axis=1)[:, None]
-        assert read_dataset(path).vectors.tobytes() == expected.tobytes()
+        assert read_dataset(path).unit_rows(slice(None)).tobytes() == expected.tobytes()
 
     def test_zero_row_names_its_record(self, rng, tmp_path):
         raw = rng.standard_normal((11, 5))
@@ -299,7 +301,7 @@ class TestStreamedIngest:
     def test_write_matches_one_contiguous_copy(self, rng, tmp_path, count, order):
         table = small_table(rng, count=count, dim=5)
         table = LabeledEmbeddingTable(
-            vectors=np.asarray(table.vectors, order=order),
+            rows=np.asarray(table.rows, order=order),
             ids=table.ids,
             attributes=table.attributes,
             classes=table.classes,
@@ -307,7 +309,7 @@ class TestStreamedIngest:
         )
         write_dataset(table, tmp_path / "ds")
         written = (tmp_path / "ds" / "vectors.f32").read_bytes()
-        assert written == np.ascontiguousarray(table.vectors, dtype="<f4").tobytes()
+        assert written == np.ascontiguousarray(table.rows, dtype="<f4").tobytes()
 
 
 def test_metadata_is_parsed_line_by_line(rng, tmp_path):
@@ -376,7 +378,7 @@ class TestSynthGenerate:
     def test_deterministic_under_seed(self):
         first = synth_generate(synth_spec())
         second = synth_generate(synth_spec())
-        assert np.array_equal(first.vectors, second.vectors)
+        assert np.array_equal(first.rows, second.rows)
         assert first.ids == second.ids
 
     def test_counts_and_labels(self):
@@ -403,9 +405,10 @@ class TestSynthGenerate:
         table = synth_generate(spec)
         labels = np.array(table.attributes["gender"])
         # compare mean similarity to the overall class direction proxy
-        center = normalize(table.vectors.mean(axis=0))
-        male = table.vectors[labels == "male"] @ center
-        female = table.vectors[labels == "female"] @ center
+        unit = table.unit_rows(slice(None))
+        center = normalize(unit.mean(axis=0))
+        male = unit[labels == "male"] @ center
+        female = unit[labels == "female"] @ center
         pooled = math.hypot(male.std() / math.sqrt(male.size),
                             female.std() / math.sqrt(female.size))
         assert abs(male.mean() - female.mean()) < 3.0 * pooled

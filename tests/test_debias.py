@@ -28,7 +28,7 @@ def fixture():
     female = np.array(body["reference"]["female"])
     vectors = np.vstack([male, female])
     table = LabeledEmbeddingTable(
-        vectors=vectors,
+        rows=vectors,
         ids=tuple(f"r{i:03d}" for i in range(vectors.shape[0])),
         attributes={"gender": ("male",) * male.shape[0] + ("female",) * female.shape[0]},
         classes=(None,) * vectors.shape[0],
@@ -98,8 +98,9 @@ class TestOrthogonalizationGap:
     def test_pinned_values(self, pipeline_pieces):
         query, matrix, subsets = pipeline_pieces
         report = debias(query, matrix, subsets, "full")
-        assert report.distance_gap["baseline"] == pytest.approx(0.2492409462718449, abs=1e-9)
-        assert report.distance_gap["step1"] == pytest.approx(0.10191845970812363, abs=1e-9)
+        # The fixture's float64 reference rows are stored as float32 rows.
+        assert report.distance_gap["baseline"] == pytest.approx(0.24924095553102654, abs=1e-9)
+        assert report.distance_gap["step1"] == pytest.approx(0.10191846285211298, abs=1e-9)
 
     def test_feasibility_transfers_to_group_gap(self, pipeline_pieces):
         # Cross-module contract: equalization feasibility means the group

@@ -1,22 +1,21 @@
 """The fold kernels of ``evaluate`` in isolation, and whole-run properties.
 
-``_fold_tops`` reads every fold's top-k off one ranking of a score column and
-must equal a separate ``top_rows`` over each fold's own pool;
-``sorted_group_auc`` ranks by searching the sorted scores and must equal
-counting pairs. ``_fold_metrics`` keeps a GEMM column only where the orders the
-fold metrics read are certified: the top ``limit + 1`` rows of the ranking,
-and each held-out (fold, value) group whose AUC is defined. A kept column must
-give the metrics its GEMV gives, a gap of twice the error bound in either
-place must reject it, and one elsewhere must not. ``evaluate`` reads relevant
-subsets off one reference GEMM per block where certified, and its report must
-not change when every query is ranked by ``top_n_by_attribute``'s GEMV
-instead, or when every GEMM column is rejected, reference and target alike,
-on continuous and on tie-heavy tables. An ``evaluate`` entry must not depend
-on which other queries or modes ran, and its counts and metrics must survive
-a rotation of every vector.
+``_fold_tops`` reads every fold's top-k off one ranking of a query's float32
+screen and must equal a brute-force ranking of each fold's own pool by the
+score definition; ``sorted_group_auc`` counts by searching the sorted
+negatives and must equal counting pairs. ``_fold_metrics`` rescores only the
+rows its metrics read whose screens sit within a band (twice the bound) of a
+top-k cut or of a row of the other label; it must give the brute-force
+metrics whatever the screen says within the bound, and must not rescore rows
+further apart.
+``evaluate`` screens each block with one GEMM per table, and its report must
+not change when every query is screened by its own GEMV instead, or when the
+bound covers every row so that every row is rescored, on continuous and on
+tie-heavy tables. An ``evaluate`` entry must not depend on which other queries
+or modes ran, and its counts and metrics must survive a rotation of every
+vector.
 """
 
-import contextlib
 import dataclasses
 from unittest import mock
 
@@ -40,26 +39,17 @@ from bend.pipeline import (
     evaluate,
     parse_query_row,
 )
-from bend.reference_index import (
-    _score_error_bound,
-    order_certified,
-    relevant_subsets,
-    top_n_by_attribute,
-    top_rows,
-)
+from bend.reference_index import Scores, relevant_subsets, score_block
 from bend.reporting import dumps
 from bend.vectors import normalize
 from test_metrics import brute_force_auc
-from test_ranking import CLASSES, grid_vectors, tables, tied_table
+from test_ranking import CLASSES, grid_vectors, reference_top, tables, tied_table
 
 
 def per_fold_tops(table, scores, fold_of, fold_count, k):
-    rows = np.arange(table.count)
+    """Each fold's top-k by brute force over its pool, as a sorted list."""
     return [
-        top_rows(
-            table, scores,
-            np.setdiff1d(rows, np.flatnonzero(fold_of == f), assume_unique=True), k,
-        )
+        sorted(reference_top(table, scores, np.flatnonzero(fold_of != f).tolist(), k))
         for f in range(fold_count)
     ]
 
@@ -87,12 +77,14 @@ def per_fold_tops(table, scores, fold_of, fold_count, k):
 )
 def test_fold_tops_match_per_fold_pools(scores, fold_of, k):
     table = tied_table(scores)
-    column = table.vectors @ np.array([1.0, 0.0])
+    ranking = Scores(table, np.array([1.0, 0.0]))
+    exact = ranking.exact(np.arange(table.count))
     fold_of = np.array(fold_of)
     fold_count = int(fold_of.max()) + 1
-    got = _fold_tops(table, column, fold_of, fold_count, k)
-    expected = per_fold_tops(table, column, fold_of, fold_count, k)
-    assert [top.tolist() for top in got] == [top.tolist() for top in expected]
+    got = _fold_tops(ranking, fold_of, fold_count, k)
+    assert [sorted(top.tolist()) for top in got] == per_fold_tops(
+        table, exact, fold_of, fold_count, k
+    )
 
 
 @settings(max_examples=40)
@@ -104,10 +96,12 @@ def test_fold_tops_match_per_fold_pools_on_tied_tables(table, query, data):
                            max_size=table.count))
     )
     k = data.draw(st.integers(1, table.count + 2))
-    scores = table.vectors @ normalize(query)
-    got = _fold_tops(table, scores, fold_of, fold_count, k)
-    expected = per_fold_tops(table, scores, fold_of, fold_count, k)
-    assert [top.tolist() for top in got] == [top.tolist() for top in expected]
+    ranking = Scores(table, normalize(query))
+    exact = ranking.exact(np.arange(table.count))
+    got = _fold_tops(ranking, fold_of, fold_count, k)
+    assert [sorted(top.tolist()) for top in got] == per_fold_tops(
+        table, exact, fold_of, fold_count, k
+    )
 
 
 @given(
@@ -119,7 +113,8 @@ def test_fold_tops_match_per_fold_pools_on_tied_tables(table, query, data):
 def test_group_auc_equals_pair_count_exactly(pairs):
     scores = np.array([s for s, _ in pairs])
     positive = np.array([p for _, p in pairs])
-    assert sorted_group_auc(np.sort(scores), scores[positive]) == brute_force_auc(pairs)
+    hits, misses = np.sort(scores[positive]), np.sort(scores[~positive])
+    assert sorted_group_auc(hits, misses) == brute_force_auc(pairs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -162,19 +157,52 @@ def unit_rows(rng, count, dim, spread=0):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def fold_metrics(table, fold_of, positive, scores, k, certify):
-    """``_fold_metrics`` over explicit folds, with the tops as lists."""
+def fold_metrics(table, fold_of, positive, scores, k):
+    """``_fold_metrics`` over explicit folds, each top-k as a sorted list."""
     folds = [np.flatnonzero(fold_of == f) for f in range(int(fold_of.max()) + 1)]
     layout = _fold_layout(folds, table.codes["gender"], len(GENDER.values))
     no_class = np.zeros(table.count, dtype=bool)
     reads = _auc_reads(layout, no_class if positive is None else positive)
-    metrics = _fold_metrics(table, layout, reads, scores, k, certify=certify)
-    return metrics and ([top.tolist() for top in metrics[0]], metrics[1])
+    tops, aucs = _fold_metrics(layout, reads, scores, k)
+    return [sorted(top.tolist()) for top in tops], aucs
+
+
+def brute_fold_metrics(table, fold_of, positive, exact, k):
+    """``fold_metrics`` by brute force: each fold's pool sorted by (score, id),
+    and each held-out group's AUC by counting pairs; None where a non-empty
+    group of the fold is single-class, or the query has no class."""
+    fold_count = int(fold_of.max()) + 1
+    labels = table.attributes["gender"]
+    aucs = []
+    for f in range(fold_count):
+        groups = [
+            [(exact[i], bool(positive[i])) for i in np.flatnonzero(fold_of == f) if labels[i] == v]
+            for v in GENDER.values
+        ] if positive is not None else []
+        groups = [pairs for pairs in groups if pairs]
+        defined = groups and all(len({p for _, p in pairs}) == 2 for pairs in groups)
+        aucs.append(min(brute_force_auc(pairs) for pairs in groups) if defined else None)
+    return per_fold_tops(table, exact, fold_of, fold_count, k), aucs
+
+
+def rescored(monkeypatch):
+    """Record every row ``Scores.exact`` rescores."""
+    rows = []
+    exact = Scores.exact
+
+    def recording(self, which):
+        rows.extend(np.asarray(which).tolist())
+        return exact(self, which)
+
+    monkeypatch.setattr(Scores, "exact", recording)
+    return rows
 
 
 @settings(max_examples=60)
 @given(tables(), st.lists(grid_vectors, min_size=1, max_size=SCORE_BLOCK_COLUMNS), st.data())
-def test_certified_fold_metrics_equal_the_gemvs_on_tied_tables(table, queries, data):
+def test_fold_metrics_off_the_gemm_screen_equal_brute_force_on_tied_tables(
+    table, queries, data
+):
     finals = [normalize(q) for q in queries]
     fold_count = data.draw(st.integers(1, 4))
     fold_of = np.array(
@@ -185,106 +213,122 @@ def test_certified_fold_metrics_equal_the_gemvs_on_tied_tables(table, queries, d
         [None, np.array([c == CLASSES[0] for c in table.classes])]
     ))
     k = data.draw(st.integers(1, table.count + 2))
-    for final, column in zip(finals, np.stack(finals) @ table.vectors.T):
-        kept = fold_metrics(table, fold_of, positive, column, k, certify=True)
-        if kept is not None:
-            gemv = table.vectors @ final
-            assert kept == fold_metrics(table, fold_of, positive, gemv, k, certify=False)
-
-
-@settings(max_examples=60)
-@given(st.integers(1, 64), st.integers(1, 60), st.integers(1, SCORE_BLOCK_COLUMNS),
-       st.integers(0, 6), st.integers(0, 2**32 - 1))
-def test_gemm_and_gemv_scores_differ_by_at_most_the_error_bound(
-    dim, count, width, spread, seed
-):
-    rng = np.random.default_rng(seed)
-    vectors = unit_rows(rng, count, dim, spread)
-    finals = unit_rows(rng, width, dim, spread)
-    bound = _score_error_bound(dim)
-    for final, column in zip(finals, finals @ vectors.T):
-        assert np.all(np.abs(column - vectors @ final) <= bound)
-
-
-def test_a_gap_of_twice_the_error_bound_is_not_certified():
-    # At exactly twice the bound, both scores can move to one value: a tie.
-    gap = 2 * _score_error_bound(8)
-    assert not order_certified(np.array([0.0, gap, 1.0]), 8)
-    assert order_certified(np.array([0.0, np.nextafter(gap, 1.0), 1.0]), 8)
-    assert not order_certified(np.array([0.25, 0.25, 0.5]), 8)
+    for scores in score_block(table, finals):
+        exact = scores.exact(np.arange(table.count))
+        assert fold_metrics(table, fold_of, positive, scores, k) == brute_fold_metrics(
+            table, fold_of, positive, exact, k
+        )
 
 
 # Twelve rows in two folds of pairs; gender alternates by row, so each
 # (fold, value) group holds three rows: (0, male) is rows 0, 4 and 8, (0,
 # female) 1, 5, 9, (1, male) 2, 6, 10 and (1, female) 3, 7, 11. Rows 0-3 are
-# the positives, one per group, and the best four, two per fold: with k = 2
-# the ranking reads the top limit + 1 = 5 rows, and never grows.
-GAP_FOLDS = np.array([0, 0, 1, 1] * 3)
-GAP_POSITIVE = np.arange(12) < 4
-GAP_SCORES = np.array([0.9, 0.7, 0.8, 0.6, 0.5, -0.1, -0.2, -0.3, -0.4, -0.5, -0.6, -0.7])
+# the positives, one per group. The first table row of each pair below is
+# one float32 step above the second, so a screen off by the bound can put
+# the second first.
+PAIR_FOLDS = np.array([0, 0, 1, 1] * 3)
+PAIR_POSITIVE = np.arange(12) < 4
+STEP = 2.0**-24
+PAIR_SCORES = np.array([0.9, 0.7, 0.8, 0.6, 0.5, -0.1, -0.2, -0.3, -0.4, -0.5, -0.6, -0.7])
 
 
-def gap_metrics(rows, scores, certify=True, positive=GAP_POSITIVE):
-    """``fold_metrics`` on ``GAP_SCORES`` with ``rows`` set to ``scores``."""
-    column = GAP_SCORES.copy()
-    column[list(rows)] = scores
-    table = tied_table(np.zeros(12))
-    return fold_metrics(table, GAP_FOLDS, positive, column, 2, certify)
-
-
-GAP = 2 * _score_error_bound(2)
+def pair_metrics(monkeypatch, rows, positive=PAIR_POSITIVE, k=2):
+    """``fold_metrics`` with row ``rows[0]`` one float32 step above ``rows[1]``
+    at the other's score, and a screen that puts ``rows[1]`` first by twice the
+    bound; returns the metrics, the brute-force metrics and the rescored rows."""
+    exact_scores = PAIR_SCORES.copy()
+    exact_scores[rows[0]] = exact_scores[rows[1]] + STEP
+    table = tied_table(exact_scores)
+    scores = Scores(table, np.array([1.0, 0.0]))
+    exact = scores.exact(np.arange(table.count))
+    screen = exact.copy()
+    screen[rows[0]] -= scores.eps
+    screen[rows[1]] += scores.eps
+    recorded = rescored(monkeypatch)
+    got = fold_metrics(table, PAIR_FOLDS, positive, Scores(table, scores.query, screen), k)
+    return got, brute_fold_metrics(table, PAIR_FOLDS, positive, exact, k), set(recorded)
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "rows, k",
     [
-        pytest.param((6, 10), id="inside-a-held-out-group"),
-        pytest.param((3, 4), id="between-ranked-rows-limit-and-limit-plus-one"),
+        # With k = 1 fold 0's cut is row 2, well above rows 3 and 7.
+        pytest.param((7, 3), 1, id="positive-and-negative-in-a-held-out-group"),
+        # Fold 1's pool is fold 0's rows; with k = 3 its cut falls between
+        # rows 4 (male) and 5 (female), whose screens cross.
+        pytest.param((4, 5), 3, id="two-value-band-at-fold-1s-top-k-cut"),
     ],
 )
-def test_a_gap_of_twice_the_bound_where_the_metrics_read_falls_back(rows):
-    assert gap_metrics(rows, [GAP, 0.0]) is None
-    assert gap_metrics(rows, [np.nextafter(GAP, 1.0), 0.0]) is not None
+def test_a_pair_within_twice_the_bound_where_the_metrics_read_is_rescored(
+    monkeypatch, rows, k
+):
+    got, brute, recorded = pair_metrics(monkeypatch, rows, k=k)
+    assert got == brute
+    assert set(rows) <= recorded
 
 
-def test_a_gap_of_twice_the_bound_the_metrics_do_not_read_keeps_the_gemm():
-    # Rows 6 and 7 sit in different groups, both below the ranked prefix, so
-    # no evaluation within the bound changes a metric, a tie included.
-    kept = gap_metrics((6, 7), [GAP, 0.0])
-    assert kept is not None
-    assert kept == gap_metrics((6, 7), [GAP / 2, GAP / 2], certify=False)
-    assert kept == gap_metrics((6, 7), [0.0, GAP], certify=False)
+def test_rows_the_metrics_do_not_read_are_not_rescored(monkeypatch):
+    # Rows 6 and 7 sit in different groups, below every top-k: crossing
+    # screens there cannot move a metric, and neither row is rescored.
+    got, brute, recorded = pair_metrics(monkeypatch, (6, 7))
+    assert got == brute
+    assert not {6, 7} & recorded
 
 
-def test_a_query_without_a_class_certifies_no_group():
-    assert gap_metrics((6, 10), [GAP, 0.0]) is None
-    kept = gap_metrics((6, 10), [GAP, 0.0], positive=None)
-    assert kept is not None and kept[1] == [None, None]
-    assert kept == gap_metrics((6, 10), [0.0, 0.0], certify=False, positive=None)
+def test_an_auc_pair_within_twice_the_bound_is_rescored_and_one_outside_is_not(monkeypatch):
+    eps = Scores(tied_table([0.0, 0.0]), np.array([1.0, 0.0])).eps
+    # Rows 0 and 1 tie, yet their screens sit a band apart; rows 2 and 3 sit
+    # one step further apart, and their scores are within eps of that.
+    band = Scores(tied_table([0.0, 0.0]), np.array([1.0, 0.0])).band
+    table = tied_table([0.5, 0.5, 0.25, 0.25 - band, 0.0, 0.0])
+    scores = Scores(table, np.array([1.0, 0.0]))
+    exact = scores.exact(np.arange(table.count))
+    positive = np.array([True, False, True, False, True, False])
+    screen = exact.copy()
+    screen[0] += eps
+    screen[1] = screen[0] - band
+    screen[3] = np.nextafter(screen[2] - band, -1.0)
+    # Rows 2-5 are not rescored, so the AUC reads their screens.
+    assert np.all(np.abs(screen - exact)[2:] <= eps)
+    recorded = rescored(monkeypatch)
+    rows = np.arange(table.count)
+    auc = pipeline._group_auc(Scores(table, scores.query, screen), rows, screen, positive)
+    assert set(recorded) == {0, 1, 4, 5}
+    assert auc == brute_force_auc(list(zip(exact.tolist(), positive.tolist())))
+
+
+def test_a_query_without_a_class_rescores_no_group(monkeypatch):
+    got, brute, recorded = pair_metrics(monkeypatch, (7, 3), positive=None, k=1)
+    assert got == brute and got[1] == [None, None]
+    assert not {7, 3} & recorded
     # Fold 1's groups are single-class here, so it has no AUC and no group of
     # it is read.
-    one_class = GAP_POSITIVE & (GAP_FOLDS == 0)
-    kept = gap_metrics((6, 10), [GAP, 0.0], positive=one_class)
-    assert kept is not None and kept[1] == [1.0, None]
+    one_class = PAIR_POSITIVE & (PAIR_FOLDS == 0)
+    got, brute, recorded = pair_metrics(monkeypatch, (7, 3), positive=one_class, k=1)
+    assert got == brute and got[1] == [1.0, None]
+    assert not {7, 3} & recorded
 
 
-def test_fold_metrics_keep_every_gemm_column_of_a_continuous_table():
+def test_fold_metrics_of_a_continuous_table_rescore_few_rows(monkeypatch):
     rng = np.random.default_rng(7)
     table = continuous_table(rng, 2000, 64, "tgt")
     finals = list(unit_rows(rng, SCORE_BLOCK_COLUMNS, 64))
     fold_of = rng.integers(0, 5, table.count)
     positive = np.array([c == CLASSES[0] for c in table.classes])
     for k in (50, 2000):
-        for final, column in zip(finals, np.stack(finals) @ table.vectors.T):
-            kept = fold_metrics(table, fold_of, positive, column, k, certify=True)
-            assert kept is not None
-            gemv = table.vectors @ final
-            assert kept == fold_metrics(table, fold_of, positive, gemv, k, certify=False)
+        for scores in score_block(table, finals):
+            exact = scores.exact(np.arange(table.count))
+            recorded = rescored(monkeypatch)
+            got = fold_metrics(table, fold_of, positive, scores, k)
+            monkeypatch.undo()
+            assert got == brute_fold_metrics(table, fold_of, positive, exact, k)
+            # Each fold's band at its cut, and the few AUC pairs within a band.
+            assert len(recorded) < table.count // 20
 
 
 def continuous_table(rng, count, dim, prefix):
     return LabeledEmbeddingTable(
-        vectors=unit_rows(rng, count, dim),
+        rows=unit_rows(rng, count, dim),
         ids=tuple(f"{prefix}{i}" for i in range(count)),
         attributes={"gender": tuple(rng.choice(GENDER.values, count).tolist())},
         classes=tuple(rng.choice(CLASSES, count).tolist()),
@@ -312,17 +356,15 @@ def assert_entries_stand_alone(queries, reference, target, cfg):
         assert dumps(alone) == dumps([entry])
 
 
-def count_kept_columns(monkeypatch):
-    """Record, for every GEMM column ``evaluate`` scores, whether it is kept."""
+def count_screened_columns(monkeypatch):
+    """Record, for each GEMM ``evaluate`` runs, its table's prefix and width."""
     calls = []
 
-    def counted(*args, certify):
-        metrics = _fold_metrics(*args, certify=certify)
-        if certify:
-            calls.append(metrics is not None)
-        return metrics
+    def counted(table, queries):
+        calls.append((table.ids[0][:3], len(queries)))
+        return score_block(table, queries)
 
-    monkeypatch.setattr(pipeline, "_fold_metrics", counted)
+    monkeypatch.setattr(pipeline, "score_block", counted)
     return calls
 
 
@@ -336,7 +378,7 @@ def test_evaluate_entries_do_not_depend_on_their_score_block():
     assert_entries_stand_alone(queries, reference, target, cfg)
 
 
-def test_a_block_of_failed_queries_keeps_the_gemm(monkeypatch):
+def test_a_block_of_failed_queries_screens_no_final(monkeypatch):
     rng = np.random.default_rng(13)
     reference = continuous_table(rng, 60, 8, "ref")
     target = continuous_table(rng, 70, 8, "tgt")
@@ -344,67 +386,57 @@ def test_a_block_of_failed_queries_keeps_the_gemm(monkeypatch):
         parse_query_row({"id": f"q{i}", "vector": rng.standard_normal(dim).tolist()})
         for i, dim in enumerate([9, 9, 9, 9, 8, 8])
     ]
-    calls = count_kept_columns(monkeypatch)
+    calls = count_screened_columns(monkeypatch)
     cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
     entries = evaluate(queries, reference, target, cfg)["queries"]
     assert ["error" in entry for entry in entries] == [True] * 4 + [False] * 2
-    # The first block scores no final; the second keeps all eight columns.
-    assert calls == [True] * 8
-
-
-def test_a_target_of_duplicate_rows_is_rescored_by_the_gemv_in_every_block(
-    monkeypatch,
-):
-    rng = np.random.default_rng(12)
-    reference = continuous_table(rng, 60, 8, "ref")
-    half = continuous_table(rng, 35, 8, "tgt")
-    target = dataclasses.replace(
-        half,
-        vectors=np.concatenate([half.vectors, half.vectors]),
-        ids=half.ids + tuple(f"dup-{i}" for i in half.ids),
-        attributes={"gender": half.attributes["gender"] * 2},
-        classes=half.classes * 2,
-    )
-    calls = count_kept_columns(monkeypatch)
-    cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
-    queries = block_queries(rng, 8)
-    evaluate(queries, reference, target, cfg)
-    # Every row ties with its duplicate, the best row too, so each block
-    # rescores all of its finals: 12 in the first (one of its queries failed)
-    # and 8 in the second.
-    assert calls == [False] * 20
-    assert_entries_stand_alone(queries, reference, target, cfg)
-
-
-def count_gemv_rankings(monkeypatch):
-    """Record ``n`` for every reference ranking ``evaluate`` leaves to the GEMV."""
-    calls = []
-
-    def counted(index, query, space, n):
-        calls.append(n)
-        return top_n_by_attribute(index, query, space, n)
-
-    monkeypatch.setattr(pipeline, "top_n_by_attribute", counted)
-    return calls
-
-
-def gemv_report(monkeypatch, *args):
-    """``evaluate`` with every relevant subset ranked by the GEMV."""
-    with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "relevant_subsets",
-                      lambda *a: (relevant_subsets(*a)[0], False))
-        return dumps(evaluate(*args))
+    # The first block screens nothing; the second screens both queries'
+    # step-1 rankings and all eight finals.
+    assert calls == [("ref", 0), ("tgt", 0), ("ref", 2), ("tgt", 8)]
 
 
 def duplicated(table):
     """``table`` with every row twice: each pair ties under any evaluation."""
     return dataclasses.replace(
         table,
-        vectors=np.concatenate([table.vectors, table.vectors]),
+        rows=np.concatenate([table.rows, table.rows]),
+        norms=np.concatenate([table.norms, table.norms]),
         ids=table.ids + tuple(f"dup-{i}" for i in table.ids),
         attributes={"gender": table.attributes["gender"] * 2},
         classes=table.classes * 2,
     )
+
+
+def test_a_target_of_duplicate_rows_rescores_only_its_bands(monkeypatch):
+    rng = np.random.default_rng(12)
+    reference = continuous_table(rng, 60, 8, "ref")
+    target = duplicated(continuous_table(rng, 35, 8, "tgt"))
+    cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
+    queries = block_queries(rng, 8)
+    recorded = rescored(monkeypatch)
+    report = dumps(evaluate(queries, reference, target, cfg))
+    # Every row ties with its duplicate, the best row too, yet only rows near
+    # a cut or a pair are rescored: far fewer than the 20 finals' 70 rows each.
+    assert len(recorded) < 20 * target.count // 4
+    monkeypatch.undo()
+    assert report == every_row_rescored_report(monkeypatch, queries, reference, target, cfg)
+    assert_entries_stand_alone(queries, reference, target, cfg)
+
+
+def gemv_report(monkeypatch, *args):
+    """``evaluate`` with every relevant subset screened by its query's GEMV."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "relevant_subsets", lambda partition, scores, n: relevant_subsets(
+            partition, Scores(scores.table, scores.query), n))
+        return dumps(evaluate(*args))
+
+
+def every_row_rescored_report(monkeypatch, *args):
+    """``evaluate`` with a bound so wide that every ranking and AUC rescores
+    every row it reads."""
+    with monkeypatch.context() as patch:
+        patch.setattr(reference_index, "screen_error_bound", lambda dim: 4.0)
+        return dumps(evaluate(*args))
 
 
 def test_evaluate_picks_relevant_subsets_off_the_reference_gemm(monkeypatch):
@@ -413,29 +445,26 @@ def test_evaluate_picks_relevant_subsets_off_the_reference_gemm(monkeypatch):
     target = continuous_table(rng, 70, 8, "tgt")
     queries = block_queries(rng, 8)
     cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
-    calls = count_gemv_rankings(monkeypatch)
+    calls = count_screened_columns(monkeypatch)
     report = dumps(evaluate(queries, reference, target, cfg))
-    assert calls == []
+    assert calls == [("ref", 3), ("tgt", 12), ("ref", 2), ("tgt", 8)]
     assert report == gemv_report(monkeypatch, queries, reference, target, cfg)
-    assert calls == [8] * 5
 
 
 @pytest.mark.parametrize("n", [8, 40], ids=["top-n", "whole-groups"])
-def test_a_reference_of_duplicate_rows_is_ranked_by_the_gemv(monkeypatch, n):
+def test_a_reference_of_duplicate_rows_gives_the_gemv_report(monkeypatch, n):
     rng = np.random.default_rng(19)
     reference = duplicated(continuous_table(rng, 30, 8, "ref"))
     target = continuous_table(rng, 70, 8, "tgt")
     queries = block_queries(rng, 8)
     cfg = RunConfig(attribute="gender", n=n, k=15, seed=3, fold_count=3)
-    calls = count_gemv_rankings(monkeypatch)
     report = dumps(evaluate(queries, reference, target, cfg))
-    # Each of the five queries that resolve falls back once, in its own block.
-    assert calls == [n] * 5
     assert report == gemv_report(monkeypatch, queries, reference, target, cfg)
+    assert report == every_row_rescored_report(monkeypatch, queries, reference, target, cfg)
     assert_entries_stand_alone(queries, reference, target, cfg)
 
 
-def test_evaluate_report_is_unchanged_when_every_gemm_column_is_rejected(monkeypatch):
+def test_evaluate_report_is_unchanged_when_every_row_is_rescored(monkeypatch):
     rng = np.random.default_rng(23)
     reference = continuous_table(rng, 60, 8, "ref")
     target = continuous_table(rng, 70, 8, "tgt")
@@ -443,23 +472,7 @@ def test_evaluate_report_is_unchanged_when_every_gemm_column_is_rejected(monkeyp
     assert len(queries) * len(MODES) > SCORE_BLOCK_COLUMNS
     cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
     report = dumps(evaluate(queries, reference, target, cfg))
-    calls = count_gemv_rankings(monkeypatch)
-    kept = count_kept_columns(monkeypatch)
-    with rejecting_every_gemm_column():
-        assert dumps(evaluate(queries, reference, target, cfg)) == report
-    assert calls == [8] * 5
-    assert kept == [False] * 20
-
-
-@contextlib.contextmanager
-def rejecting_every_gemm_column():
-    """Patch the certificate to reject every column, reference and target."""
-    def reject(ordered, dim):
-        return False
-
-    with mock.patch.object(reference_index, "order_certified", reject), \
-            mock.patch.object(pipeline, "order_certified", reject):
-        yield
+    assert report == every_row_rescored_report(monkeypatch, queries, reference, target, cfg)
 
 
 @settings(max_examples=25, deadline=None)
@@ -473,7 +486,7 @@ def rejecting_every_gemm_column():
     st.integers(1, 45),
     st.integers(2, 4),
 )
-def test_evaluate_report_is_unchanged_when_every_gemm_column_is_rejected_on_tied_tables(
+def test_evaluate_report_is_unchanged_when_every_row_is_rescored_on_tied_tables(
     reference, target, drawn, k, fold_count
 ):
     queries = [
@@ -482,7 +495,7 @@ def test_evaluate_report_is_unchanged_when_every_gemm_column_is_rejected_on_tied
     ]
     cfg = RunConfig(attribute="gender", n=5, k=k, seed=1, fold_count=fold_count)
     report = dumps(evaluate(queries, reference, target, cfg))
-    with rejecting_every_gemm_column():
+    with mock.patch.object(reference_index, "screen_error_bound", lambda dim: 4.0):
         assert dumps(evaluate(queries, reference, target, cfg)) == report
 
 
@@ -498,13 +511,20 @@ def rotated(query, rotation):
     }
 
 
+def integer_table(rng, count, dim, prefix):
+    """Rows of small integers, stored as they are with their float64 norms."""
+    table = continuous_table(rng, count, dim, prefix)
+    rows = rng.integers(-1000, 1001, (count, dim)).astype(np.float32)
+    return dataclasses.replace(table, rows=rows, norms=np.linalg.norm(rows.astype(np.float64), axis=1))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_evaluate_metrics_are_rotation_invariant(seed):
     rng = np.random.default_rng(seed)
-    dim = 12
-    reference = continuous_table(rng, 80, dim, "ref")
-    target = continuous_table(rng, 90, dim, "tgt")
+    dim = 16
+    reference = integer_table(rng, 80, dim, "ref")
+    target = integer_table(rng, 90, dim, "tgt")
     queries = [
         {
             "id": f"q{i}",
@@ -515,12 +535,22 @@ def test_evaluate_metrics_are_rotation_invariant(seed):
         }
         for i in range(2)
     ]
-    rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    # A Hadamard matrix over 4, its rows permuted and signs flipped: a
+    # rotation that maps integer rows to exact float32 rows, so both tables
+    # store the same vectors up to the rounding of their norms.
+    hadamard = np.ones((1, 1))
+    while hadamard.shape[0] < dim:
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+    signs = rng.choice([-1.0, 1.0], dim)
+    rotation = (hadamard * signs)[rng.permutation(dim)] / 4
     cfg = RunConfig(attribute="gender", n=10, k=20, seed=seed % 4, fold_count=3)
     plain = evaluate([parse_query_row(q) for q in queries], reference, target, cfg)
     spun = evaluate(
         [parse_query_row(rotated(q, rotation)) for q in queries],
-        *(dataclasses.replace(t, vectors=t.vectors @ rotation.T) for t in (reference, target)),
+        *(
+            dataclasses.replace(t, rows=(t.rows @ rotation.T).astype(np.float32), norms=t.norms)
+            for t in (reference, target)
+        ),
         cfg,
     )
     for want, got in zip(plain["queries"], spun["queries"]):

@@ -36,17 +36,22 @@ from bend.errors import (
     SizeMismatch,
     SynthSpecError,
 )
-from bend.pipeline import load_prior, load_queries
+from bend.pipeline import load_queries, validate_prior
 from bend.vectors import number_vector
 
 COUNT = 3
 DIM = 4
 
 
+def load_prior(path, space):
+    """A prior file as the CLI reads it: its JSON first, then its values."""
+    return validate_prior(read_json(path, "prior file", ConfigError), space)
+
+
 def small_table():
     vectors = np.eye(COUNT, DIM)
     return LabeledEmbeddingTable(
-        vectors=vectors,
+        rows=vectors,
         ids=tuple(f"r{i}" for i in range(COUNT)),
         attributes={"gender": ("male", "female", "male")},
         classes=(None,) * COUNT,
@@ -213,7 +218,7 @@ def test_manifest_integral_floats_are_counts(tmp_path):
     body = json.loads(manifest.read_text())
     body.update(dim=float(DIM), count=float(COUNT))
     manifest.write_text(json.dumps(body))
-    assert read_dataset(manifest).vectors.shape == (COUNT, DIM)
+    assert read_dataset(manifest).rows.shape == (COUNT, DIM)
     body["count"] = 1e300
     manifest.write_text(json.dumps(body))
     with pytest.raises(SizeMismatch):
@@ -304,7 +309,8 @@ def _fuzz_read(kind: str, raw: bytes, tmp: Path):
         (manifest.parent / "vectors.f32").write_bytes(raw)
         table = read_dataset(manifest)  # loads only the file's own rows, normalized
         rows = np.frombuffer(raw, "<f4").astype(np.float64).reshape(COUNT, DIM)
-        assert np.allclose(table.vectors * np.linalg.norm(rows, axis=1)[:, None], rows)
+        unit = table.unit_rows(slice(None))
+        assert np.allclose(unit * np.linalg.norm(rows, axis=1)[:, None], rows)
         return
     path = tmp / "input"
     path.write_bytes(raw)

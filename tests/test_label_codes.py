@@ -20,8 +20,7 @@ from bend.pipeline import (
     run_query_reports,
 )
 from bend.reference_index import build_index, retrieve_top_k
-from bend.vectors import normalize
-from test_ranking import CLASSES, grid_vectors, reference_top
+from test_ranking import CLASSES, definition, grid_vectors, reference_top
 
 AGE = attribute_space("age", ("young", "old", "adult"))
 
@@ -29,7 +28,7 @@ AGE = attribute_space("age", ("young", "old", "adult"))
 def labeled_table(rows, ids, genders, ages, classes):
     rows = np.array(rows, dtype=np.float64)
     return LabeledEmbeddingTable(
-        vectors=rows / np.linalg.norm(rows, axis=1, keepdims=True),
+        rows=rows / np.linalg.norm(rows, axis=1, keepdims=True),
         ids=tuple(ids),
         attributes={"gender": tuple(genders), "age": tuple(ages)},
         classes=tuple(classes),
@@ -90,7 +89,7 @@ def test_retrieval_report_counts_match_plain_python(table, query, k):
     prior = {v: 1 / 3 for v in AGE.values}
     retrieved = retrieve_top_k(table, query, k)
     report = retrieval_report_json(table, retrieved, k, metric_space=AGE, prior=prior)
-    scores = table.vectors @ normalize(query)
+    scores = definition(table, query)
     top = reference_top(table, scores, range(table.count), k)
     for name, space in table.spaces.items():
         counts = plain_counts(table.attributes[name], top, space)
@@ -129,7 +128,7 @@ def test_evaluate_counts_match_plain_python(reference, target, query, folds, k, 
         return
     index = build_index(reference)
     reports, _ = run_query_reports(resolve_query(row, AGE, index, cfg), index, AGE, cfg)
-    scores = target.vectors @ normalize(reports["full"].final)
+    scores = definition(target, reports["full"].final)
     for fold, got in zip(make_folds(target.count, folds, seed), entry["modes"]["full"]["folds"]):
         pool = sorted(set(range(target.count)) - set(fold))
         top = reference_top(target, scores, pool, k)

@@ -2,8 +2,9 @@
 
 Rows are drawn from a handful of distinct integer-grid directions, so many
 rows coincide and score ties are the rule, not the exception. The reference
-ranks with ``sorted`` by (descending score, ascending id) and scores AUC by
-counting pairs, which is the documented contract of all three rankings.
+scores every row by the definition (``definition``), ranks with ``sorted`` by
+(descending score, ascending id) and scores AUC by counting pairs, which is
+the documented contract of all three rankings.
 """
 
 import dataclasses
@@ -27,10 +28,10 @@ from bend.pipeline import (
     run_query_reports,
 )
 from bend.reference_index import (
+    Scores,
     build_index,
     retrieve_top_k,
     top_n_by_attribute,
-    top_rows,
 )
 from bend.subspace import orthogonalize
 from bend.vectors import normalize
@@ -57,12 +58,23 @@ def tables(draw, min_count=2, max_count=40, min_directions=1):
     )
     classes = draw(st.lists(st.sampled_from(CLASSES), min_size=count, max_size=count))
     return LabeledEmbeddingTable(
-        vectors=rows / np.linalg.norm(rows, axis=1, keepdims=True),
+        rows=rows / np.linalg.norm(rows, axis=1, keepdims=True),
         ids=tuple(ids),
         attributes={"gender": tuple(labels)},
         classes=tuple(classes),
         spaces={"gender": GENDER},
     )
+
+
+def unit(table):
+    """All of a table's float64 unit rows (test tables are small)."""
+    return table.unit_rows(slice(None))
+
+
+def definition(table, query):
+    """Every row's score by the definition: the float64 sum, in numpy's fixed
+    pairwise order, of the unit row times the unit query."""
+    return np.add.reduce(unit(table) * normalize(query), axis=1)
 
 
 def reference_top(table, scores, rows, limit):
@@ -88,23 +100,24 @@ def reference_worst_auc(table, scores, fold, query_class):
 
 
 @given(tables(), grid_vectors, st.data())
-def test_top_rows_matches_sorted(table, query, data):
-    scores = table.vectors @ normalize(query)
+def test_top_matches_sorted(table, query, data):
+    scores = definition(table, query)
     rows = data.draw(
         st.lists(st.integers(0, table.count - 1), min_size=1, unique=True)
     )
     limit = data.draw(st.integers(1, table.count + 2))
-    got = top_rows(table, scores, np.array(rows), limit)
+    got, similarities = Scores(table, normalize(query)).top(np.array(rows), limit)
     assert got.tolist() == reference_top(table, scores, rows, limit)
+    assert similarities.tolist() == scores[got].tolist()
 
 
 def tied_table(scores):
-    """A table whose rows score exactly ``scores`` against the first axis."""
+    """A table whose rows score ``scores``, rounded to float32, against the first axis."""
     scores = np.asarray(scores, dtype=np.float64)
     count = scores.size
     rows = np.stack([scores, np.sqrt(1.0 - scores**2)], axis=1)
     return LabeledEmbeddingTable(
-        vectors=rows,
+        rows=rows,
         # Ids run against row order, so row order cannot stand in for them.
         ids=tuple(f"r{count - i:02d}" for i in range(count)),
         attributes={"gender": ("male", "female") * (count // 2)},
@@ -125,20 +138,21 @@ def tied_table(scores):
         pytest.param([0.1, 0.5, 0.9, 0.5, 0.1, 0.5], 4, id="run-ends-at-limit"),
     ],
 )
-def test_top_rows_keeps_the_tie_run_at_the_cutoff(scores, limit):
+def test_top_keeps_the_tie_run_at_the_cutoff(scores, limit):
     table = tied_table(scores)
-    column = table.vectors @ np.array([1.0, 0.0])
+    column = definition(table, [1.0, 0.0])
+    ranking = Scores(table, np.array([1.0, 0.0]))
     rows = np.arange(table.count)
-    got = top_rows(table, column, rows, limit)
+    got = ranking.top(rows, limit)[0]
     assert got.tolist() == reference_top(table, column, rows.tolist(), limit)
     reversed_rows = rows[::-1]
-    got = top_rows(table, column, reversed_rows, limit)
+    got = ranking.top(reversed_rows, limit)[0]
     assert got.tolist() == reference_top(table, column, reversed_rows.tolist(), limit)
 
 
 @given(tables(), grid_vectors, st.integers(1, 45))
 def test_retrieve_top_k_matches_sorted(table, query, k):
-    scores = table.vectors @ normalize(query)
+    scores = definition(table, query)
     expected = reference_top(table, scores, range(table.count), k)
     retrieved = retrieve_top_k(table, query, k)
     assert [r.id for r in retrieved] == [table.ids[i] for i in expected]
@@ -148,7 +162,7 @@ def test_retrieve_top_k_matches_sorted(table, query, k):
 @given(tables(), grid_vectors, st.integers(1, 45))
 def test_top_n_by_attribute_matches_sorted(table, query, n):
     index = build_index(table)
-    scores = table.vectors @ normalize(query)
+    scores = definition(table, query)
     labels = table.attributes["gender"]
     members = {
         v: [i for i in range(table.count) if labels[i] == v] for v in GENDER.values
@@ -163,7 +177,7 @@ def test_top_n_by_attribute_matches_sorted(table, query, n):
     for value in GENDER.values:
         expected = reference_top(table, scores, members[value], n)
         assert list(subsets.indices[value]) == expected
-        expected_mean = table.vectors[expected].mean(axis=0)
+        expected_mean = table.unit_rows(expected).mean(axis=0)
         assert np.array_equal(subsets.means[value], expected_mean)
 
 
@@ -171,13 +185,12 @@ def test_top_n_by_attribute_matches_sorted(table, query, n):
 @given(tables(), st.lists(grid_vectors, min_size=1, max_size=4), st.integers(1, 12), st.data())
 def test_evaluate_subsets_match_top_n_by_attribute(table, queries, n, data):
     # Repeated grid rows tie exactly at every rank, the n / n + 1 boundary
-    # included (the GEMV fallback runs), and n runs past small groups. Tilting
-    # rows by a few steps off the grid parts most copies, so certified GEMM
-    # columns occur too.
+    # included, and n runs past small groups. Tilting rows by a few steps off
+    # the grid parts most copies, so near ties occur too.
     tilt = data.draw(st.lists(st.integers(0, 3), min_size=table.count, max_size=table.count))
-    tilted = table.vectors + np.outer(tilt, np.arange(1, DIM + 1)) / 64
+    tilted = unit(table) + np.outer(tilt, np.arange(1, DIM + 1)) / 64
     table = dataclasses.replace(
-        table, vectors=tilted / np.linalg.norm(tilted, axis=1, keepdims=True)
+        table, rows=tilted / np.linalg.norm(tilted, axis=1, keepdims=True), norms=None
     )
     seen = []
 
@@ -216,9 +229,15 @@ def test_evaluate_folds_match_sorted(
         for i, v in enumerate(query_vectors)
     ]
     cfg = RunConfig(attribute="gender", n=n, k=k, seed=seed, fold_count=fold_count)
+    assert_evaluate_matches_sorted(queries, reference, target, cfg)
+
+
+def assert_evaluate_matches_sorted(queries, reference, target, cfg):
+    """Every fold's pool size, top-k counts and worst-group AUC in the
+    ``evaluate`` report equal the brute-force ones."""
     report = evaluate(queries, reference, target, cfg)
     index = build_index(reference)
-    folds = make_folds(target.count, fold_count, seed)
+    folds = make_folds(target.count, cfg.fold_count, cfg.seed)
     labels = target.attributes["gender"]
     for row, entry in zip(queries, report["queries"]):
         if "error" in entry:
@@ -226,15 +245,15 @@ def test_evaluate_folds_match_sorted(
         resolved = resolve_query(row, GENDER, index, cfg)
         reports, _ = run_query_reports(resolved, index, GENDER, cfg)
         for mode in cfg.modes:
-            scores = target.vectors @ normalize(reports[mode].final)
+            scores = definition(target, reports[mode].final)
             for fold, got in zip(folds, entry["modes"][mode]["folds"]):
                 pool = sorted(set(range(target.count)) - set(fold))
-                top = reference_top(target, scores, pool, k)
+                top = reference_top(target, scores, pool, cfg.k)
                 assert got["pool_size"] == len(pool)
                 assert got["retrieved"] == len(top)
                 assert got["retrieved_counts"] == {
                     v: sum(labels[i] == v for i in top) for v in GENDER.values
                 }
                 assert got["worst_group_auc"] == reference_worst_auc(
-                    target, scores, fold, query_class
+                    target, scores, fold, row.class_label
                 )

@@ -6,7 +6,7 @@ from bend.augment import GENDER, attribute_space
 from bend.dataset import LabeledEmbeddingTable, SynthCell, SynthSpec, synth_generate
 from bend.errors import ConfigError, EmptyGroup, UnknownLabel
 from bend.reference_index import (
-    _score_error_bound,
+    Scores,
     build_index,
     relevant_subsets,
     retrieve_top_k,
@@ -20,7 +20,7 @@ def table_from_rows(rows, labels, ids=None, classes=None):
     rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     n = rows.shape[0]
     return LabeledEmbeddingTable(
-        vectors=rows,
+        rows=rows,
         ids=tuple(ids) if ids else tuple(f"r{i:04d}" for i in range(n)),
         attributes={"gender": tuple(labels)},
         classes=tuple(classes) if classes else tuple(None for _ in range(n)),
@@ -50,7 +50,7 @@ class TestBuildIndex:
     def test_single_record_table(self):
         space = attribute_space("g", ("x", "y"))
         table = LabeledEmbeddingTable(
-            vectors=np.array([[1.0, 0.0]]),
+            rows=np.array([[1.0, 0.0]]),
             ids=("only",),
             attributes={"g": ("x",)},
             classes=(None,),
@@ -62,7 +62,7 @@ class TestBuildIndex:
 
     def test_group_means_are_means_of_normalized_rows(self, four_record_index):
         means = four_record_index.group_means("gender")
-        manual = four_record_index.table.vectors[:2].mean(axis=0)
+        manual = four_record_index.table.unit_rows(slice(0, 2)).mean(axis=0)
         assert np.allclose(means["male"], manual)
 
 
@@ -73,7 +73,7 @@ class TestGroupMeansCache:
         index.group_means("gender")
         means = index.group_means("gender")
         for value, idx in index.partition("gender").items():
-            assert np.array_equal(means[value], table.vectors[idx].mean(axis=0))
+            assert np.array_equal(means[value], table.unit_rows(idx).mean(axis=0))
 
     @pytest.mark.parametrize("size", [1, 3, 4, 5, 11])
     @pytest.mark.parametrize("quantized", [False, True], ids=["random", "quantized"])
@@ -81,7 +81,7 @@ class TestGroupMeansCache:
         self, rng, monkeypatch, size, quantized
     ):
         # Groups of 1, block - 1, block, block + 1 and several blocks.
-        monkeypatch.setattr(reference_index, "MEAN_BLOCK_ROWS", 4)
+        monkeypatch.setattr(reference_index, "BLOCK_ROWS", 4)
         count = 2 * size + 3
         if quantized:
             # Few directions, so rows repeat exactly; -0.0 components keep
@@ -98,7 +98,7 @@ class TestGroupMeansCache:
         index = build_index(table)
         means = index.group_means("gender")
         for value, idx in index.partition("gender").items():
-            expected = table.vectors[idx].mean(axis=0)
+            expected = table.unit_rows(idx).mean(axis=0)
             assert means[value].tobytes() == expected.tobytes()
 
     def test_cached_means_are_read_only(self, four_record_index):
@@ -125,44 +125,44 @@ class TestGroupMeansCache:
                 index.group_means("gender")
 
 
-# Twice the error bound at d=2: the widest gap the certificate still rejects.
-GAP = 2 * _score_error_bound(2)
-JUST_ABOVE = float(np.nextafter(GAP, 1.0))
+# Scores a few float32 steps apart at 0.5, closer than the band at d=2.
+NEAR = float(np.float32(0.5) + np.float32(2**-24))
+NEARER = float(np.float32(0.5) + np.float32(2**-23))
 
 
-class TestRelevantSubsetsCertificate:
-    """Each value's top n + 1 scores, or its whole group when it has at most n
-    rows, must be more than ``GAP`` apart; gaps further down do not count.
-    Near ties sit at 0.0, so their gap is exact."""
+class TestRelevantSubsetsBand:
+    """Each value's n best rows are the exact ones whatever the screen says
+    within the bound: here every screen is off by the bound itself, by turns
+    up and down, so rows tied or near-tied at a value's n-th score swap places
+    on the screen and only the band's rescoring puts them back."""
 
     @pytest.mark.parametrize(
-        "male, female, n, certified",
+        "male, female, n",
         [
-            pytest.param([1.0, GAP, 0.0, -0.5, -0.6], [-0.9], 2, False, id="rows-n-and-n+1"),
-            pytest.param([1.0, JUST_ABOVE, 0.0, -0.5, -0.6], [-0.9], 2, True,
-                         id="rows-n-and-n+1-just-apart"),
-            pytest.param([GAP, 0.0, -0.5, -0.6, -0.7], [-0.9], 2, False, id="inside-top-n"),
-            pytest.param([1.0, 0.5, 0.0, 0.0, -0.5], [-0.9], 2, True,
-                         id="tie-at-rows-n+1-and-n+2"),
-            pytest.param([1.0, 0.5, 0.0, -0.5, -0.5], [-0.9], 2, True, id="tie-further-down"),
-            pytest.param([1.0, GAP, 0.0], [-0.9], 5, False, id="group-under-n"),
-            pytest.param([1.0, JUST_ABOVE, 0.0], [-0.9], 5, True, id="group-under-n-apart"),
-            pytest.param([1.0, 0.5, GAP, 0.0], [-0.9], 4, False, id="group-of-n"),
-            pytest.param([1.0, 0.5, 0.0], [GAP, 0.0, -0.5], 1, False, id="second-value"),
-            pytest.param([1.0, 0.5, 0.0], [JUST_ABOVE, 0.0, -0.5], 5, True,
-                         id="second-value-apart"),
+            pytest.param([0.9, NEAR, 0.5, 0.1], [0.0], 2, id="near-tie-at-rows-n-and-n+1"),
+            pytest.param([0.9, 0.5, 0.5, 0.5, 0.1], [0.0], 2, id="tie-run-across-n"),
+            pytest.param([NEARER, NEAR, 0.5, 0.1], [0.0], 1, id="band-of-three"),
+            pytest.param([0.9, 0.5, NEAR, 0.5], [0.0], 4, id="group-of-n"),
+            pytest.param([0.9, 0.1], [0.5, NEAR, 0.5, -0.5], 2, id="second-value"),
+            pytest.param([0.9, NEAR, 0.5], [NEAR, 0.5], 5, id="groups-under-n"),
         ],
     )
-    def test_certifies_only_the_top_n_plus_one(self, male, female, n, certified):
-        scores = np.array(male + female)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_subsets_are_exact_under_the_worst_screen(self, male, female, n, sign):
         labels = ["male"] * len(male) + ["female"] * len(female)
-        table = table_from_rows([[1.0, i] for i in range(len(labels))], labels)
-        index = build_index(table)
-        subsets, got = relevant_subsets(table, index.partition("gender"), scores, n)
-        assert got is certified
-        for value, members in index.partition("gender").items():
-            ranked = sorted(members.tolist(), key=lambda i: (-scores[i], table.ids[i]))
+        scores = np.array(male + female)
+        # Ids run against row order, so row order cannot stand in for them.
+        ids = [f"r{len(labels) - i:02d}" for i in range(len(labels))]
+        table = table_from_rows(np.stack([scores, np.sqrt(1 - scores**2)], axis=1), labels, ids)
+        query = np.array([1.0, 0.0])
+        exact = Scores(table, query).exact(np.arange(table.count))
+        worst = exact + sign * Scores(table, query).eps * (-1.0) ** np.arange(table.count)
+        partition = build_index(table).partition("gender")
+        subsets = relevant_subsets(partition, Scores(table, query, worst), n)
+        for value, members in partition.items():
+            ranked = sorted(members.tolist(), key=lambda i: (-exact[i], table.ids[i]))
             assert list(subsets.indices[value]) == ranked[:n]
+            assert subsets.means[value].tobytes() == table.unit_rows(ranked[:n]).mean(axis=0).tobytes()
 
 
 class TestTopNByAttribute:
@@ -196,7 +196,7 @@ class TestTopNByAttribute:
         query = normalize([0.7, 0.3])
         subsets = top_n_by_attribute(four_record_index, query, GENDER, 2)
         for value, idx in subsets.indices.items():
-            manual = four_record_index.table.vectors[list(idx)].mean(axis=0)
+            manual = four_record_index.table.unit_rows(list(idx)).mean(axis=0)
             assert np.allclose(subsets.means[value], manual)
 
     def test_union_bounded_and_labels_match(self, rng):
@@ -241,7 +241,7 @@ class TestTopNByAttribute:
             query = normalize(rng.standard_normal(12))
             n = int(rng.integers(1, 40))
             subsets = top_n_by_attribute(index, query, GENDER, n)
-            sims = table.vectors @ query
+            sims = Scores(table, query).exact(np.arange(table.count))
             for value in GENDER.values:
                 members = np.flatnonzero(labels == value)
                 ranked = sorted(
@@ -253,7 +253,7 @@ class TestTopNByAttribute:
 class TestRetrieveTopK:
     def test_exact_match_first(self, four_record_index):
         table = four_record_index.table
-        results = retrieve_top_k(table, table.vectors[2], 1)
+        results = retrieve_top_k(table, table.unit_rows(2), 1)
         assert results[0].id == "r0002"
         assert results[0].similarity == pytest.approx(1.0)
 

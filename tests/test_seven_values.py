@@ -55,7 +55,7 @@ def test_full_lowers_kl_and_max_skew_and_keeps_auc_on_value_directions():
     vectors = np.concatenate(blocks)
     vectors /= np.linalg.norm(vectors, axis=1)[:, None]
     table = LabeledEmbeddingTable(
-        vectors=vectors,
+        rows=vectors,
         ids=tuple(f"r{i:05d}" for i in range(len(labels))),
         attributes={"race": tuple(labels)},
         classes=tuple(classes),
