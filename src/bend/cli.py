@@ -160,6 +160,8 @@ def cmd_evaluate(args) -> int:
         augment_endpoint=args.augment_endpoint,
     )
     _embed_endpoint(args)
+    if args.out and Path(args.out).suffix == ".csv":  # the CSV beside it would replace it
+        raise ConfigError(f"--out {args.out} names the CSV written beside the report")
     prior = read_json(Path(args.prior), "prior file", ConfigError) if args.prior else None
     reference = read_dataset(args.reference)
     target = read_dataset(args.target)

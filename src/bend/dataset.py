@@ -40,9 +40,7 @@ MANIFEST_NAME = "manifest.json"
 VECTORS_NAME = "vectors.f32"
 META_NAME = "meta.jsonl"
 QUERIES_NAME = "queries.jsonl"
-# Largest |squared row norm - 1| a table accepts.
-UNIT_NORM_TOL = 1e-6
-# Rows per block when vectors stream to or from disk, or pass through float64:
+# Rows per block when vectors stream from disk, or pass through float64:
 # reading a table holds the float32 table plus one block, never a second copy.
 BLOCK_ROWS = 4096
 
@@ -50,27 +48,38 @@ BLOCK_ROWS = 4096
 @dataclass(frozen=True)
 class LabeledEmbeddingTable:
     """Attribute-labeled embeddings: (N, d) float32 rows, each row's float64
-    norm, and per-record metadata. Rows given without ``norms`` must be unit;
-    they are rounded to float32 once, with norms of 1."""
+    norm, and per-record metadata. Given rows are rounded to float32 once;
+    the norms are always derived from the float32 rows, wherever they came from."""
 
     rows: np.ndarray                         # (N, d) float32, as stored
     ids: tuple[str, ...]
     attributes: dict[str, tuple[str, ...]]   # attribute name -> per-record labels
     classes: tuple[str | None, ...]
     spaces: dict[str, AttributeSpace]
-    norms: np.ndarray | None = None          # (N,) float64
+    norms: np.ndarray = field(init=False)    # (N,) float64, derived
 
     def __post_init__(self):
-        given = None
-        if self.norms is None:
-            given = np.asarray(self.rows, dtype=np.float64)
-            object.__setattr__(self, "rows", given.astype(np.float32))
-            object.__setattr__(self, "norms", np.ones(len(given)))
-        n = self.rows.shape[0] if self.rows.ndim == 2 else 0
+        rows = np.asarray(self.rows, dtype=np.float32)
+        object.__setattr__(self, "rows", rows)
+        n = rows.shape[0] if rows.ndim == 2 else 0
         if n < 1:
             raise EmptyTable("a table needs at least one record")
-        if self.rows.ndim != 2 or self.rows.shape[1] < 2:
+        if rows.ndim != 2 or rows.shape[1] < 2:
             raise ConfigError("vectors must be (N, d) with d >= 2")
+        norms = np.empty(n)
+        for start in range(0, n, BLOCK_ROWS):
+            # np.linalg.norm's sum of squares, squared in float64 without a copy first.
+            squares = np.square(rows[start : start + BLOCK_ROWS], dtype=np.float64)
+            norms[start : start + BLOCK_ROWS] = np.add.reduce(squares, axis=1)
+            del squares  # freed before the next block is squared: one block at a time
+        np.sqrt(norms, out=norms)
+        finite = np.isfinite(norms)
+        if not finite.all():  # anywhere, even after a zero row
+            raise NonUnitRow(f"dataset record {int(np.argmin(finite))} has a non-finite component")
+        zero = norms <= ZERO_NORM_EPS
+        if zero.any():
+            raise MetadataError(f"dataset record {int(np.argmax(zero))} has a zero vector")
+        object.__setattr__(self, "norms", norms)
         if len(self.ids) != n or len(self.classes) != n:
             raise MetadataError("ids/classes length does not match the vector count")
         if len(set(self.ids)) != n:
@@ -88,15 +97,6 @@ class LabeledEmbeddingTable:
         for name in self.attributes:
             if name not in self.spaces:
                 raise MetadataError(f"labels present for undeclared attribute {name!r}")
-        if given is not None:
-            # Similarity is a plain dot product downstream, so rows must be unit.
-            squared_norms = np.einsum("ij,ij->i", given, given)
-            bad = np.flatnonzero(~(np.abs(squared_norms - 1.0) <= UNIT_NORM_TOL))
-            if bad.size:
-                raise NonUnitRow(
-                    f"record {self.ids[bad[0]]!r} has squared norm "
-                    f"{float(squared_norms[bad[0]])!r}; rows must be unit-normalized"
-                )
 
     @property
     def count(self) -> int:
@@ -141,7 +141,6 @@ class LabeledEmbeddingTable:
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledEmbeddingTable(
             rows=self.rows[idx],
-            norms=self.norms[idx],
             ids=tuple(self.ids[i] for i in idx),
             attributes={
                 name: tuple(labels[i] for i in idx)
@@ -187,31 +186,9 @@ def _space_from_json(obj) -> AttributeSpace:
     )
 
 
-def _row_norms(rows: np.ndarray, first: int, what: str) -> tuple[np.ndarray, int | None]:
-    """The float64 norms of ``rows``, records ``first`` onward, and the first
-    zero record or None. A non-finite row raises ``NonUnitRow``; a zero row is
-    not raised, so a reader streaming blocks can report a later non-finite one."""
-    # np.linalg.norm's sum of squares, squared in float64 without a copy first.
-    norms = np.sqrt(np.add.reduce(np.square(rows, dtype=np.float64), axis=1))
-    finite = np.isfinite(norms)
-    if not finite.all():
-        bad = first + int(np.argmin(finite))
-        raise NonUnitRow(f"{what} record {bad} has a non-finite component")
-    zero = norms <= ZERO_NORM_EPS
-    return norms, first + int(np.argmax(zero)) if zero.any() else None
-
-
-def _read_vectors(
-    handle: BinaryIO, path: Path, count: int, dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stream ``count`` float32 rows into one table, with each row's norm.
-
-    Only the table and one block in float64 are ever held. A zero row is
-    reported after the last block, since a non-finite row anywhere comes first.
-    """
+def _read_vectors(handle: BinaryIO, path: Path, count: int, dim: int) -> np.ndarray:
+    """Stream ``count`` float32 rows into one table, a block at a time."""
     table = np.empty((count, dim), dtype="<f4")
-    norms = np.empty(count)
-    zero = None
     for start in range(0, count, BLOCK_ROWS):
         block = table[start : start + BLOCK_ROWS]
         try:
@@ -223,12 +200,7 @@ def _read_vectors(
                 f"vector file ended after {start * dim * 4 + got} bytes, "
                 f"expected {count * dim * 4} ({count} x {dim} float32)"
             )
-        norms[start : start + block.shape[0]], found = _row_norms(block, start, "dataset")
-        if zero is None:
-            zero = found
-    if zero is not None:
-        raise MetadataError(f"dataset record {zero} has a zero vector")
-    return table.astype(np.float32, copy=False), norms
+    return table
 
 
 def _read_text(path: Path, what: str, invalid: type[BendError]) -> str:
@@ -315,7 +287,7 @@ def _read_meta(
 
 
 def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
-    """Load a dataset directory into a validated, normalized table."""
+    """Load a dataset directory into a validated table of its rows as stored."""
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path, "manifest", ManifestError)
     if not isinstance(manifest, dict):
@@ -331,6 +303,8 @@ def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
         raise ManifestError(f"manifest missing field: {exc}") from None
     if not isinstance(attr_decls, list):
         raise ManifestError("manifest 'attributes' must be a list of declarations")
+    if not isinstance(vectors_file, str) or not isinstance(meta_file, str):
+        raise ManifestError("manifest 'vectors_file' and 'meta_file' must be strings")
     if dtype != DTYPE:
         raise ManifestError(f"unsupported dtype {dtype!r}; expected {DTYPE!r}")
     if dim < 2 or count < 1:
@@ -356,11 +330,10 @@ def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
             )
         # Metadata errors come before vector errors, so parse it first.
         ids, classes, labels = _read_meta(base / meta_file, count, spaces)
-        rows, norms = _read_vectors(handle, vec_path, count, dim)
+        rows = _read_vectors(handle, vec_path, count, dim)
 
     return LabeledEmbeddingTable(
         rows=rows,
-        norms=norms,
         ids=tuple(ids),
         attributes={name: tuple(vals) for name, vals in labels.items()},
         classes=tuple(classes),
@@ -381,9 +354,7 @@ def write_dataset(
             )
         out_dir.mkdir(parents=True, exist_ok=True)
         with (out_dir / VECTORS_NAME).open("wb") as handle:
-            for start in range(0, table.count, BLOCK_ROWS):
-                block = table.unit_rows(slice(start, start + BLOCK_ROWS))
-                handle.write(np.ascontiguousarray(block, dtype="<f4"))
+            handle.write(np.ascontiguousarray(table.rows, dtype="<f4"))
         with (out_dir / META_NAME).open("w", encoding="utf-8") as handle:
             for i, record_id in enumerate(table.ids):
                 record = {
@@ -611,11 +582,8 @@ def synth_generate(spec: SynthSpec) -> LabeledEmbeddingTable:
         labels += [cell.value] * cell.count
         classes += [cell.class_name] * cell.count
     vectors = np.concatenate(blocks)
-    norms, zero = _row_norms(vectors, 0, "synthetic")
-    if zero is not None:
-        raise MetadataError(f"synthetic record {zero} has a zero vector")
     return LabeledEmbeddingTable(
-        rows=vectors / norms[:, None],
+        rows=vectors / np.linalg.norm(vectors, axis=1, keepdims=True),
         ids=tuple(f"r{index:06d}" for index in range(len(labels))),
         attributes={spec.space.name: tuple(labels)},
         classes=tuple(classes),

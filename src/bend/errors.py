@@ -87,7 +87,7 @@ class MetadataError(BendError):
 
 
 class NonUnitRow(BendError):
-    """A table row whose norm is not 1: ingest normalizes, code must too."""
+    """A table row with a NaN or infinite component."""
 
 
 class TooSmall(BendError):

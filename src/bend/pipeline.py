@@ -118,6 +118,8 @@ def parse_query_row(record: dict, lineno: int = 0) -> QueryRow:
     class_label = record.get("class")
     if class_label is not None and not isinstance(class_label, str):
         raise MetadataError(f"query {query_id!r} has a 'class' that is not a string")
+    if text is not None and not isinstance(text, str):
+        raise MetadataError(f"query {query_id!r} has a 'text' that is not a string")
     if (text is None) == (vector is None):
         raise MetadataError(
             f"query {query_id!r} must carry exactly one of 'text' or 'vector'"
@@ -133,7 +135,7 @@ def parse_query_row(record: dict, lineno: int = 0) -> QueryRow:
         )
     return QueryRow(
         id=query_id,
-        text=text if text is None else str(text),
+        text=text,
         vector=vector,
         class_label=class_label,
         augmented=augmented,

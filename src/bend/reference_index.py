@@ -9,19 +9,19 @@ ascending record id, so ranks do not depend on the platform or thread count.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .augment import AttributeSpace
-from .dataset import BLOCK_ROWS, UNIT_NORM_TOL, LabeledEmbeddingTable
+from .dataset import BLOCK_ROWS, LabeledEmbeddingTable
 from .errors import ConfigError, DimensionMismatch, EmptyGroup, UnknownLabel
 from .vectors import Vector, as_vector, normalize
 
 # The norms a float32 screen is bounded for: above, a float32 sum could
-# overflow; below, underflow could outweigh the bound. Rows outside are rescored.
+# overflow, so those rows are rescored; below, underflow could outweigh the
+# bound, but a table holds no row of norm ZERO_NORM_EPS = 1e-12 or less.
 SCREEN_NORMS = (2.0**-40, 2.0**100)
 
 
@@ -99,30 +99,28 @@ def screen_error_bound(dim: int) -> float:
     score's own float64 rounding and the scale by 1/norm, plus underflow."""
     u32, u64 = np.finfo(np.float32).eps / 2, np.finfo(np.float64).eps / 2
     g32, g64 = dim * u32 / (1 - dim * u32), dim * u64 / (1 - dim * u64)
-    weight = math.sqrt(1 + UNIT_NORM_TOL) * (1 + 4 * g64)
     underflow = 4 * dim * float(np.finfo(np.float32).tiny) / SCREEN_NORMS[0]
-    return ((u32 + g32) * (1 + 2 * g32) + 3 * g64) * weight + underflow
+    return ((u32 + g32) * (1 + 2 * g32) + 3 * g64) * (1 + 4 * g64) + underflow
 
 
 class Scores:
     """One unit query's scores over a table's rows. A score is the float64
     ``np.add.reduce(unit_row * query)``, numpy's fixed-order pairwise sum. The
     ``screen``, each row's float32 BLAS product over its norm, lies within
-    ``eps`` of it (is it, outside ``SCREEN_NORMS``), so rows whose screens are
+    ``eps`` of it (is it, above ``SCREEN_NORMS``), so rows whose screens are
     over ``band`` apart (2eps, plus 16u for rounding in comparisons) order as
     their screens do; only the others are rescored."""
 
     def __init__(self, table: LabeledEmbeddingTable, query: Vector, screen=None):
         self.table, self.query = table, query
         if screen is None:
-            with np.errstate(over="ignore", invalid="ignore"):  # rows outside SCREEN_NORMS
+            with np.errstate(over="ignore", invalid="ignore"):  # rows above SCREEN_NORMS
                 screen = table.rows @ query.astype(np.float32)
         self.screen = screen / table.norms
         self.eps = screen_error_bound(table.dim)
         self.band = 2 * self.eps + 16 * np.finfo(np.float64).eps / 2
-        low, high = SCREEN_NORMS
-        if table.norms.min() < low or table.norms.max() > high:  # rows the bound does not cover
-            rows = np.flatnonzero((table.norms < low) | (table.norms > high))
+        if table.norms.max() > SCREEN_NORMS[1]:  # rows the bound does not cover
+            rows = np.flatnonzero(table.norms > SCREEN_NORMS[1])
             self.screen[rows] = self.exact(rows)
 
     def exact(self, rows: np.ndarray) -> np.ndarray:
@@ -162,7 +160,7 @@ class Scores:
 
 def score_block(table: LabeledEmbeddingTable, queries: Sequence[Vector]) -> list[Scores]:
     """Each unit query's ``Scores``, all screened by one float32 GEMM."""
-    with np.errstate(over="ignore", invalid="ignore"):  # rows outside SCREEN_NORMS
+    with np.errstate(over="ignore", invalid="ignore"):  # rows above SCREEN_NORMS
         screens = np.stack(queries).astype(np.float32) @ table.rows.T if queries else ()
     return [Scores(table, query, screen) for query, screen in zip(queries, screens)]
 

@@ -1,7 +1,7 @@
 """Cosine similarity and distance between two arbitrary vectors.
 
-The package scores unit rows with a plain dot product; these normalize both
-sides first, so tests can compare directions of un-normalized results.
+These normalize both sides first, so tests can compare directions of
+un-normalized results.
 """
 
 from __future__ import annotations

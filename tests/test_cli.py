@@ -682,8 +682,10 @@ class TestBoundaryErrors:
     @pytest.mark.parametrize(
         "verb, flags",
         [("debias", ["--modes", "bogus"]), ("retrieve", ["--k", "0"]),
-         ("evaluate", ["--n", "0"])],
-        ids=["debias", "retrieve", "evaluate"],
+         ("evaluate", ["--n", "0"]),
+         # The CSV written beside the report would replace it.
+         ("evaluate", ["--out", "report.csv"])],
+        ids=["debias", "retrieve", "evaluate", "evaluate-out-csv"],
     )
     def test_bad_flag_exits_2_before_loading_any_table(self, tmp_path, capsys, verb, flags):
         missing = str(tmp_path / "missing" / MANIFEST_NAME)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -89,18 +90,30 @@ class TestTableValidation:
                 spaces={"gender": GENDER},
             )
 
-    @pytest.mark.parametrize("bad_row", [[0.0, 2.0], [0.6, 0.79], [np.nan, 1.0]])
-    def test_non_unit_row_rejected(self, bad_row):
+    @pytest.mark.parametrize("row", [[0.0, 2.0], [0.6, 0.79]])
+    def test_non_unit_row_accepted(self, row):
+        table = LabeledEmbeddingTable(
+            rows=np.array([[1.0, 0.0], row]),
+            ids=("a", "b"),
+            attributes={"gender": ("male", "female")},
+            classes=(None, None),
+            spaces={"gender": GENDER},
+        )
+        rows = np.array([[1.0, 0.0], row], dtype=np.float32).astype(np.float64)
+        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        assert table.unit_rows(slice(None)).tobytes() == unit.tobytes()
+
+    def test_non_finite_row_rejected_before_the_ids(self):
         with pytest.raises(NonUnitRow) as excinfo:
             LabeledEmbeddingTable(
-                rows=np.array([[1.0, 0.0], bad_row]),
-                ids=("a", "b"),
+                rows=np.array([[1.0, 0.0], [np.nan, 1.0]]),
+                ids=("a", "a"),
                 attributes={"gender": ("male", "female")},
                 classes=(None, None),
                 spaces={"gender": GENDER},
             )
         assert excinfo.value.exit_code == 5
-        assert "'b'" in str(excinfo.value)
+        assert str(excinfo.value) == "dataset record 1 has a non-finite component"
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyTable):
@@ -126,6 +139,15 @@ class TestRoundTrip:
         assert np.allclose(
             back.unit_rows(slice(None)), table.unit_rows(slice(None)), rtol=1.2e-7, atol=1.2e-7
         )
+
+    def test_rows_of_any_norm_round_trip_bit_for_bit(self, rng, tmp_path):
+        table = small_table(rng, count=25)
+        scale = np.where(np.arange(table.count) % 2 == 0, 3.0, 1e-3)
+        rows = (table.rows * scale[:, None]).astype(np.float32)
+        table = dataclasses.replace(table, rows=rows)
+        back = read_dataset(write_dataset(table, tmp_path / "ds"))
+        assert back.rows.tobytes() == table.rows.tobytes()
+        assert back.norms.tobytes() == table.norms.tobytes()
 
     def test_refuses_nonempty_dir_without_force(self, rng, tmp_path):
         table = small_table(rng)

@@ -98,9 +98,10 @@ class TestOrthogonalizationGap:
     def test_pinned_values(self, pipeline_pieces):
         query, matrix, subsets = pipeline_pieces
         report = debias(query, matrix, subsets, "full")
-        # The fixture's float64 reference rows are stored as float32 rows.
-        assert report.distance_gap["baseline"] == pytest.approx(0.24924095553102654, abs=1e-9)
-        assert report.distance_gap["step1"] == pytest.approx(0.10191846285211298, abs=1e-9)
+        # The fixture's float64 reference rows are stored as float32 rows,
+        # each with its float64 norm.
+        assert report.distance_gap["baseline"] == pytest.approx(0.24924094878188596, abs=1e-9)
+        assert report.distance_gap["step1"] == pytest.approx(0.10191845998441929, abs=1e-9)
 
     def test_feasibility_transfers_to_group_gap(self, pipeline_pieces):
         # Cross-module contract: equalization feasibility means the group

@@ -400,7 +400,6 @@ def duplicated(table):
     return dataclasses.replace(
         table,
         rows=np.concatenate([table.rows, table.rows]),
-        norms=np.concatenate([table.norms, table.norms]),
         ids=table.ids + tuple(f"dup-{i}" for i in table.ids),
         attributes={"gender": table.attributes["gender"] * 2},
         classes=table.classes * 2,
@@ -512,10 +511,10 @@ def rotated(query, rotation):
 
 
 def integer_table(rng, count, dim, prefix):
-    """Rows of small integers, stored as they are with their float64 norms."""
+    """Rows of small integers, stored as they are."""
     table = continuous_table(rng, count, dim, prefix)
     rows = rng.integers(-1000, 1001, (count, dim)).astype(np.float32)
-    return dataclasses.replace(table, rows=rows, norms=np.linalg.norm(rows.astype(np.float64), axis=1))
+    return dataclasses.replace(table, rows=rows)
 
 
 @settings(max_examples=30, deadline=None)
@@ -548,7 +547,7 @@ def test_evaluate_metrics_are_rotation_invariant(seed):
     spun = evaluate(
         [parse_query_row(rotated(q, rotation)) for q in queries],
         *(
-            dataclasses.replace(t, rows=(t.rows @ rotation.T).astype(np.float32), norms=t.norms)
+            dataclasses.replace(t, rows=(t.rows @ rotation.T).astype(np.float32))
             for t in (reference, target)
         ),
         cfg,

@@ -201,9 +201,16 @@ def test_metadata_count_is_checked_before_any_line(tmp_path):
         ("dim", DIM + 0.9),
         ("count", COUNT + 0.7),
         ("count", True),
+        # A file name that is not a string is not a path.
+        ("vectors_file", 5),
+        ("vectors_file", None),
+        ("vectors_file", ["x"]),
+        ("meta_file", 5),
+        ("meta_file", None),
+        ("meta_file", ["x"]),
     ],
 )
-def test_manifest_numbers_are_checked_not_coerced(tmp_path, field, value):
+def test_manifest_fields_are_checked_not_coerced(tmp_path, field, value):
     manifest = _dataset(tmp_path)
     body = json.loads(manifest.read_text())
     body[field] = value

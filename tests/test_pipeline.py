@@ -10,9 +10,11 @@ from bend.dataset import (
     SynthCell,
     SynthQuerySpec,
     SynthSpec,
+    read_dataset,
     split_reference_target,
     synth_generate,
     synth_query_rows,
+    write_dataset,
 )
 from bend.errors import (
     ConfigError,
@@ -23,6 +25,7 @@ from bend.errors import (
 from bend.pipeline import (
     RunConfig,
     aggregate_csv_lines,
+    debias_report_json,
     evaluate,
     load_queries,
     parse_query_row,
@@ -120,6 +123,13 @@ class TestQueryLoading:
         record = {"id": "q", "vector": [1.0, 0.0], field: value}
         with pytest.raises(MetadataError, match="numbers|non-finite"):
             parse_query_row(record)
+
+    @pytest.mark.parametrize("text", [5, ["a photo"], {"a": "photo"}, True])
+    def test_non_string_text_rejected(self, text):
+        # Not run through str(): 5 is not the text "5".
+        with pytest.raises(MetadataError, match="'text' that is not a string") as excinfo:
+            parse_query_row({"id": "q", "text": text})
+        assert excinfo.value.exit_code == 5
 
     @pytest.mark.parametrize("label", [["c0"], 1, True])
     def test_non_string_class_rejected(self, label):
@@ -250,6 +260,28 @@ class TestEvaluate:
         first = dumps(evaluate(rows, reference, target, cfg))
         second = dumps(evaluate(rows, reference, target, cfg))
         assert first == second
+
+    def test_reports_on_a_split_in_memory_equal_those_on_its_files(self, tmp_path):
+        # Every table derives its norms from its float32 rows, so a table and
+        # its write_dataset/read_dataset copy are one table.
+        reference, target, rows, cfg = small_setup()
+        stored = [
+            read_dataset(write_dataset(table, tmp_path / name))
+            for table, name in ((reference, "reference"), (target, "target"))
+        ]
+
+        def reports(reference, target):
+            index = build_index(reference)
+            debiased = []
+            for row in rows:
+                resolved = resolve_query(row, GENDER, index, cfg)
+                reports, subsets = run_query_reports(resolved, index, GENDER, cfg)
+                debiased.append(
+                    dumps(debias_report_json(resolved, reports, subsets, index, GENDER, cfg))
+                )
+            return dumps(evaluate(rows, reference, target, cfg)), debiased
+
+        assert reports(reference, target) == reports(*stored)
 
     def test_error_entry_for_bad_query(self):
         reference, target, rows, cfg = small_setup()

@@ -190,7 +190,7 @@ def test_evaluate_subsets_match_top_n_by_attribute(table, queries, n, data):
     tilt = data.draw(st.lists(st.integers(0, 3), min_size=table.count, max_size=table.count))
     tilted = unit(table) + np.outer(tilt, np.arange(1, DIM + 1)) / 64
     table = dataclasses.replace(
-        table, rows=tilted / np.linalg.norm(tilted, axis=1, keepdims=True), norms=None
+        table, rows=tilted / np.linalg.norm(tilted, axis=1, keepdims=True)
     )
     seen = []
 

@@ -158,7 +158,8 @@ class TestRelevantSubsetsBand:
         exact = Scores(table, query).exact(np.arange(table.count))
         worst = exact + sign * Scores(table, query).eps * (-1.0) ** np.arange(table.count)
         partition = build_index(table).partition("gender")
-        subsets = relevant_subsets(partition, Scores(table, query, worst), n)
+        # A screen is the product before the division by the norm.
+        subsets = relevant_subsets(partition, Scores(table, query, worst * table.norms), n)
         for value, members in partition.items():
             ranked = sorted(members.tolist(), key=lambda i: (-exact[i], table.ids[i]))
             assert list(subsets.indices[value]) == ranked[:n]

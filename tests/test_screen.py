@@ -4,8 +4,8 @@ A score is ``np.add.reduce(unit_row * unit_query)`` in float64: numpy's
 pairwise sum, pinned here bit for bit against a plain-Python transcription
 and checked not to depend on the SIMD target numpy dispatches to. A float32
 screen, GEMV or GEMM, must lie within ``screen_error_bound`` of the score for
-every row whose norm is inside ``SCREEN_NORMS``, and the bound must cover each
-error it is derived from. Every ranking must be exact whatever the screen
+every row whose norm is not above ``SCREEN_NORMS``, and the bound must cover
+each error it is derived from. Every ranking must be exact whatever the screen
 says within the bound, and on rows of any magnitude; a ``retrieve`` report
 must not depend on the order of the target's rows.
 """
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from bend.augment import GENDER
 from bend.dataset import LabeledEmbeddingTable
-from bend.errors import EmptyGroup
+from bend.errors import EmptyGroup, MetadataError
 from bend.pipeline import RunConfig, _fold_tops, parse_query_row, retrieval_report_json
 from bend.reference_index import (
     SCREEN_NORMS,
@@ -78,13 +78,12 @@ def pairwise_sum(values):
 
 
 def raw_table(rows, labels=None, classes=None):
-    """A table of float32 rows as stored, with their float64 norms."""
+    """A table of float32 rows as stored."""
     rows = np.asarray(rows, dtype=np.float32)
     count = rows.shape[0]
     labels = labels or [GENDER.values[i % 2] for i in range(count)]
     return LabeledEmbeddingTable(
         rows=rows,
-        norms=np.linalg.norm(rows.astype(np.float64), axis=1),
         ids=tuple(f"r{i:04d}" for i in range(count)),
         attributes={"gender": tuple(labels)},
         classes=tuple(classes or [CLASSES[i % 2] for i in range(count)]),
@@ -173,7 +172,8 @@ def test_any_screen_within_the_bound_ranks_exactly(table, query, data):
     # Each screen off by the bound at most, the bound itself included.
     shift = data.draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
                                min_size=table.count, max_size=table.count))
-    worst = Scores(table, query, exact + np.array(shift) * scores.eps)
+    # A screen is the product before the division by the norm.
+    worst = Scores(table, query, (exact + np.array(shift) * scores.eps) * table.norms)
     rows = np.array(data.draw(
         st.lists(st.integers(0, table.count - 1), min_size=1, unique=True)
     ))
@@ -196,9 +196,10 @@ def test_any_screen_within_the_bound_ranks_exactly(table, query, data):
 
 
 # Per row, the power of ten its largest component is scaled to: 3e38 is near
-# float32's largest value, where a float32 dot overflows to inf, and 3e-30 is
-# below SCREEN_NORMS; both are always rescored.
-MAGNITUDES = [-30, -12, 0, 12, 29, 38]
+# float32's largest value, where a float32 dot overflows to inf, so it is
+# above SCREEN_NORMS and always rescored; 3e-12 is just above the smallest
+# norm a table accepts.
+MAGNITUDES = [-12, 0, 12, 29, 38]
 
 
 def magnified(table, exponents):
@@ -214,12 +215,17 @@ def magnified(table, exponents):
        st.lists(grid_vectors, min_size=1, max_size=2), st.integers(1, 45), st.data())
 def test_rows_of_any_magnitude_rank_exactly(reference, target, vectors, k, data):
     def draw_magnitudes(table):
-        return data.draw(st.lists(st.sampled_from(MAGNITUDES), min_size=table.count,
-                                  max_size=table.count))
+        magnitudes = data.draw(st.lists(st.sampled_from(MAGNITUDES), min_size=table.count,
+                                        max_size=table.count))
+        magnitudes[data.draw(st.integers(0, table.count - 1))] = 38
+        return magnitudes
 
+    # A row of norm ZERO_NORM_EPS = 1e-12 or less is rejected, as it is from a file.
+    with pytest.raises(MetadataError, match="has a zero vector"):
+        magnified(reference, [0] * (reference.count - 1) + [-30])
     reference = magnified(reference, draw_magnitudes(reference))
     target = magnified(target, draw_magnitudes(target))
-    assert np.any(reference.norms > SCREEN_NORMS[1]) or np.any(reference.norms < SCREEN_NORMS[0])
+    assert np.any(reference.norms > SCREEN_NORMS[1])
     for vector in vectors:
         scores = definition(target, vector)
         expected = reference_top(target, scores, range(target.count), k)
