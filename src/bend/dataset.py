@@ -272,7 +272,10 @@ def _read_meta(
         if not isinstance(record_id, str) or not record_id:
             raise MetadataError(f"metadata line {lineno} is missing a string 'id'")
         ids.append(record_id)
-        classes.append(record.get("class"))
+        class_label = record.get("class")
+        if class_label is not None and not isinstance(class_label, str):
+            raise MetadataError(f"metadata line {lineno} has a 'class' that is not a string")
+        classes.append(class_label)
         attrs = record.get("attributes") or {}
         if not isinstance(attrs, dict):
             raise MetadataError(f"metadata line {lineno} 'attributes' is not an object")
@@ -305,6 +308,9 @@ def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
         raise ManifestError("manifest 'attributes' must be a list of declarations")
     if not isinstance(vectors_file, str) or not isinstance(meta_file, str):
         raise ManifestError("manifest 'vectors_file' and 'meta_file' must be strings")
+    for name in (vectors_file, meta_file):
+        if Path(name).is_absolute() or ".." in Path(name).parts:
+            raise ManifestError(f"manifest path {name!r} leaves the dataset directory")
     if dtype != DTYPE:
         raise ManifestError(f"unsupported dtype {dtype!r}; expected {DTYPE!r}")
     if dim < 2 or count < 1:
@@ -312,6 +318,8 @@ def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
     spaces = {}
     for decl in attr_decls:
         space = _space_from_json(decl)
+        if space.name in spaces:
+            raise ManifestError(f"manifest declares attribute {space.name!r} twice")
         spaces[space.name] = space
 
     base = manifest_path.parent

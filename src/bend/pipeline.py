@@ -32,7 +32,7 @@ from .errors import (
     MetadataError,
     MissingEndpoint,
 )
-from .metrics import empirical_distribution, kl_divergence, max_skew, sorted_group_auc
+from .metrics import empirical_distribution, kl_divergence, max_skew
 from .metrics import worst_group_auc  # noqa: F401  (perfbench's span looks it up here)
 from .reference_index import (
     ReferenceIndex,
@@ -373,62 +373,12 @@ def _auc_reads(layout: _FoldLayout, positive: np.ndarray) -> list[list[tuple[sli
     return reads
 
 
-def _fold_tops(scores: Scores, fold_of: np.ndarray, fold_count: int, k: int) -> list[np.ndarray]:
-    """Every fold's top-k over the rows outside it, as a set, off one ranking:
-    the rows screening at or above the ``limit``-th best. Once each fold's k-th
-    best ranked row screens ``band`` above that cut, no row left out can enter
-    its top-k, so ``Scores.best`` over the ranked rows is exact; ``limit``
-    doubles until then, or until the ranking covers the table."""
-    screen = scores.screen
-    limit = 2 * k
-    while True:
-        cut = np.partition(screen, -limit)[-limit] if limit < screen.size else -np.inf
-        ranked = np.flatnonzero(screen >= cut)
-        owner = fold_of[ranked]
-        pools = [ranked[owner != f] for f in range(fold_count)]
-        if cut == -np.inf or all(
-            pool.size >= k and np.partition(screen[pool], -k)[-k] - scores.band >= cut
-            for pool in pools
-        ):
-            return [scores.best(pool, k) for pool in pools]
-        limit *= 2
-
-
-def _within(values: np.ndarray, ascending: np.ndarray, band: float) -> np.ndarray:
-    """Whether each of ``values`` lies within ``band`` of one of ``ascending``."""
-    below = np.searchsorted(ascending, values - band, "left")
-    return below < np.searchsorted(ascending, values + band, "right")
-
-
-def _group_auc(scores: Scores, rows: np.ndarray, screen: np.ndarray, positive: np.ndarray) -> float:
-    """A held-out group's AUC off its screen, with every row of a
-    positive-negative pair within ``band`` rescored: only such a pair can order
-    differently, so the statistic is the scores' own."""
-    hits, misses = np.sort(screen[positive]), np.sort(screen[~positive])
-    if _within(hits, misses, scores.band).any():
-        hit_rows, miss_rows = np.flatnonzero(positive), np.flatnonzero(~positive)
-        near = hit_rows[_within(screen[hit_rows], misses, scores.band)]
-        # A negative near any positive is near one of ``near``.
-        close = _within(screen[miss_rows], np.sort(screen[near]), scores.band)
-        near = np.concatenate([near, miss_rows[close]])
-        screen = screen.copy()
-        screen[near] = scores.exact(rows[near])
-        hits, misses = np.sort(screen[positive]), np.sort(screen[~positive])
-    return sorted_group_auc(hits, misses)
-
-
 def _fold_metrics(layout: _FoldLayout, reads: list, scores: Scores, k: int) -> tuple[list, list]:
     """Each fold's top-k rows and worst-group AUC (None where undefined)."""
-    tops = _fold_tops(scores, layout.fold_of, len(layout.groups), k)
-    grouped = scores.screen[layout.rows] if any(reads) else None
-    aucs = []
-    for groups in reads:
-        worst = None
-        for group, positive in groups:
-            auc = _group_auc(scores, layout.rows[group], grouped[group], positive)
-            worst = auc if worst is None else min(worst, auc)
-        aucs.append(worst)
-    return tops, aucs
+    return scores.fold_tops(layout.fold_of, len(layout.groups), k), [
+        min((scores.group_auc(layout.rows[g], positive) for g, positive in groups), default=None)
+        for groups in reads
+    ]
 
 
 @dataclass(frozen=True)
@@ -574,14 +524,11 @@ def evaluate(
     per_block = max(1, SCORE_BLOCK_COLUMNS // len(cfg.modes))
     for start in range(0, len(queries), per_block):
         firsts = [step1(row) for row in queries[start : start + per_block]]
-        # As top_n_by_attribute normalizes; orthogonalize's unit vectors cannot fail.
-        units = [normalize(f.ranking) for f in firsts if isinstance(f, _Step1)]
-        ranked = iter(score_block(reference, units))
+        rankings = [f.ranking for f in firsts if isinstance(f, _Step1)]
+        ranked = iter(score_block(reference, rankings))
         block = [debiased(f, next(ranked)) if isinstance(f, _Step1) else f for f in firsts]
-        # Every final is a unit vector already, so normalizing it cannot fail.
         finals = [
-            normalize(d.reports[mode].final)
-            for d in block if isinstance(d, _Debiased) for mode in cfg.modes
+            d.reports[mode].final for d in block if isinstance(d, _Debiased) for mode in cfg.modes
         ]
         columns = iter(score_block(target, finals))
         entries.extend(

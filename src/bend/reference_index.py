@@ -17,6 +17,7 @@ import numpy as np
 from .augment import AttributeSpace
 from .dataset import BLOCK_ROWS, LabeledEmbeddingTable
 from .errors import ConfigError, DimensionMismatch, EmptyGroup, UnknownLabel
+from .metrics import sorted_group_auc
 from .vectors import Vector, as_vector, normalize
 
 # The norms a float32 screen is bounded for: above, a float32 sum could
@@ -104,18 +105,16 @@ def screen_error_bound(dim: int) -> float:
 
 
 class Scores:
-    """One unit query's scores over a table's rows. A score is the float64
+    """One unit query's scores over a table's rows (built by ``score_block``),
+    and every rule that ranks by them. A score is the float64
     ``np.add.reduce(unit_row * query)``, numpy's fixed-order pairwise sum. The
     ``screen``, each row's float32 BLAS product over its norm, lies within
     ``eps`` of it (is it, above ``SCREEN_NORMS``), so rows whose screens are
     over ``band`` apart (2eps, plus 16u for rounding in comparisons) order as
     their screens do; only the others are rescored."""
 
-    def __init__(self, table: LabeledEmbeddingTable, query: Vector, screen=None):
+    def __init__(self, table: LabeledEmbeddingTable, query: Vector, screen: np.ndarray):
         self.table, self.query = table, query
-        if screen is None:
-            with np.errstate(over="ignore", invalid="ignore"):  # rows above SCREEN_NORMS
-                screen = table.rows @ query.astype(np.float32)
         self.screen = screen / table.norms
         self.eps = screen_error_bound(table.dim)
         self.band = 2 * self.eps + 16 * np.finfo(np.float64).eps / 2
@@ -157,12 +156,55 @@ class Scores:
         order = np.lexsort((self.table.id_rank[chosen], -scores))
         return chosen[order], scores[order]
 
+    def fold_tops(self, fold_of: np.ndarray, fold_count: int, k: int) -> list[np.ndarray]:
+        """Every fold's top-k over the rows outside it, as a set, off one ranking:
+        the rows screening at or above the ``limit``-th best. Once each fold's k-th
+        best ranked row screens ``band`` above that cut, no row left out can enter
+        its top-k, so ``best`` over the ranked rows is exact; ``limit`` doubles
+        until then, or until the ranking covers the table."""
+        screen, limit = self.screen, 2 * k
+        while True:
+            cut = np.partition(screen, -limit)[-limit] if limit < screen.size else -np.inf
+            ranked = np.flatnonzero(screen >= cut)
+            owner = fold_of[ranked]
+            pools = [ranked[owner != f] for f in range(fold_count)]
+            if cut == -np.inf or all(
+                pool.size >= k and np.partition(screen[pool], -k)[-k] - self.band >= cut
+                for pool in pools
+            ):
+                return [self.best(pool, k) for pool in pools]
+            limit *= 2
 
-def score_block(table: LabeledEmbeddingTable, queries: Sequence[Vector]) -> list[Scores]:
-    """Each unit query's ``Scores``, all screened by one float32 GEMM."""
+    def group_auc(self, rows: np.ndarray, positive: np.ndarray) -> float:
+        """The AUC of ``rows`` (``positive`` marks the hits) off their screens, with
+        every row of a positive-negative pair within ``band`` rescored: only such
+        a pair can order differently, so the statistic is the scores' own."""
+        screen = self.screen[rows]
+        hits, misses = np.sort(screen[positive]), np.sort(screen[~positive])
+        if _within(hits, misses, self.band).any():
+            hit_rows, miss_rows = np.flatnonzero(positive), np.flatnonzero(~positive)
+            near = hit_rows[_within(screen[hit_rows], misses, self.band)]
+            # A negative near any positive is near one of ``near``.
+            close = _within(screen[miss_rows], np.sort(screen[near]), self.band)
+            near = np.concatenate([near, miss_rows[close]])
+            screen[near] = self.exact(rows[near])
+            hits, misses = np.sort(screen[positive]), np.sort(screen[~positive])
+        return sorted_group_auc(hits, misses)
+
+
+def _within(values: np.ndarray, ascending: np.ndarray, band: float) -> np.ndarray:
+    """Whether each of ``values`` lies within ``band`` of one of ``ascending``."""
+    below = np.searchsorted(ascending, values - band, "left")
+    return below < np.searchsorted(ascending, values + band, "right")
+
+
+def score_block(table: LabeledEmbeddingTable, queries: Sequence) -> list[Scores]:
+    """Each query's ``Scores``, over the query normalized, all screened by one
+    float32 product (numpy runs a block of one as a GEMV)."""
+    units = [normalize(query) for query in queries]
     with np.errstate(over="ignore", invalid="ignore"):  # rows above SCREEN_NORMS
-        screens = np.stack(queries).astype(np.float32) @ table.rows.T if queries else ()
-    return [Scores(table, query, screen) for query, screen in zip(queries, screens)]
+        screens = np.stack(units).astype(np.float32) @ table.rows.T if units else ()
+    return [Scores(table, unit, screen) for unit, screen in zip(units, screens)]
 
 
 def relevant_subsets(partition: dict[str, np.ndarray], scores: Scores, n: int) -> RelevantSubsets:
@@ -174,7 +216,7 @@ def relevant_subsets(partition: dict[str, np.ndarray], scores: Scores, n: int) -
         tops[value] = scores.top(members, n)[0]
     return RelevantSubsets(
         indices={value: tuple(top.tolist()) for value, top in tops.items()},
-        means={value: scores.table.unit_rows(top).mean(axis=0) for value, top in tops.items()},
+        means={value: _mean_rows(scores.table, top) for value, top in tops.items()},
     )
 
 
@@ -188,8 +230,7 @@ def top_n_by_attribute(
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
-    partition = index.partition(space.name)
-    return relevant_subsets(partition, Scores(index.table, normalize(query)), n)
+    return relevant_subsets(index.partition(space.name), score_block(index.table, [query])[0], n)
 
 
 def retrieve_top_k(table: LabeledEmbeddingTable, query, k: int) -> list[Retrieved]:
@@ -198,9 +239,7 @@ def retrieve_top_k(table: LabeledEmbeddingTable, query, k: int) -> list[Retrieve
         raise ConfigError("k must be at least 1")
     query = as_vector(query)
     if query.shape[0] != table.dim:
-        raise DimensionMismatch(
-            f"query has dimension {query.shape[0]}, table {table.dim}"
-        )
-    rows, similarities = Scores(table, normalize(query)).top(np.arange(table.count), k)
+        raise DimensionMismatch(f"query has dimension {query.shape[0]}, table {table.dim}")
+    rows, similarities = score_block(table, [query])[0].top(np.arange(table.count), k)
     rows = rows.tolist()
     return list(map(Retrieved, rows, map(table.ids.__getitem__, rows), similarities.tolist()))

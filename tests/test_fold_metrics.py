@@ -1,8 +1,8 @@
 """The fold kernels of ``evaluate`` in isolation, and whole-run properties.
 
-``_fold_tops`` reads every fold's top-k off one ranking of a query's float32
-screen and must equal a brute-force ranking of each fold's own pool by the
-score definition; ``sorted_group_auc`` counts by searching the sorted
+``Scores.fold_tops`` reads every fold's top-k off one ranking of a query's
+float32 screen and must equal a brute-force ranking of each fold's own pool by
+the score definition; ``sorted_group_auc`` counts by searching the sorted
 negatives and must equal counting pairs. ``_fold_metrics`` rescores only the
 rows its metrics read whose screens sit within a band (twice the bound) of a
 top-k cut or of a row of the other label; it must give the brute-force
@@ -35,13 +35,11 @@ from bend.pipeline import (
     _auc_reads,
     _fold_layout,
     _fold_metrics,
-    _fold_tops,
     evaluate,
     parse_query_row,
 )
 from bend.reference_index import Scores, relevant_subsets, score_block
 from bend.reporting import dumps
-from bend.vectors import normalize
 from test_metrics import brute_force_auc
 from test_ranking import CLASSES, grid_vectors, reference_top, tables, tied_table
 
@@ -77,11 +75,11 @@ def per_fold_tops(table, scores, fold_of, fold_count, k):
 )
 def test_fold_tops_match_per_fold_pools(scores, fold_of, k):
     table = tied_table(scores)
-    ranking = Scores(table, np.array([1.0, 0.0]))
+    ranking = score_block(table, [np.array([1.0, 0.0])])[0]
     exact = ranking.exact(np.arange(table.count))
     fold_of = np.array(fold_of)
     fold_count = int(fold_of.max()) + 1
-    got = _fold_tops(ranking, fold_of, fold_count, k)
+    got = ranking.fold_tops(fold_of, fold_count, k)
     assert [sorted(top.tolist()) for top in got] == per_fold_tops(
         table, exact, fold_of, fold_count, k
     )
@@ -96,9 +94,9 @@ def test_fold_tops_match_per_fold_pools_on_tied_tables(table, query, data):
                            max_size=table.count))
     )
     k = data.draw(st.integers(1, table.count + 2))
-    ranking = Scores(table, normalize(query))
+    ranking = score_block(table, [query])[0]
     exact = ranking.exact(np.arange(table.count))
-    got = _fold_tops(ranking, fold_of, fold_count, k)
+    got = ranking.fold_tops(fold_of, fold_count, k)
     assert [sorted(top.tolist()) for top in got] == per_fold_tops(
         table, exact, fold_of, fold_count, k
     )
@@ -203,7 +201,6 @@ def rescored(monkeypatch):
 def test_fold_metrics_off_the_gemm_screen_equal_brute_force_on_tied_tables(
     table, queries, data
 ):
-    finals = [normalize(q) for q in queries]
     fold_count = data.draw(st.integers(1, 4))
     fold_of = np.array(
         data.draw(st.lists(st.integers(0, fold_count - 1), min_size=table.count,
@@ -213,7 +210,7 @@ def test_fold_metrics_off_the_gemm_screen_equal_brute_force_on_tied_tables(
         [None, np.array([c == CLASSES[0] for c in table.classes])]
     ))
     k = data.draw(st.integers(1, table.count + 2))
-    for scores in score_block(table, finals):
+    for scores in score_block(table, queries):
         exact = scores.exact(np.arange(table.count))
         assert fold_metrics(table, fold_of, positive, scores, k) == brute_fold_metrics(
             table, fold_of, positive, exact, k
@@ -239,13 +236,15 @@ def pair_metrics(monkeypatch, rows, positive=PAIR_POSITIVE, k=2):
     exact_scores = PAIR_SCORES.copy()
     exact_scores[rows[0]] = exact_scores[rows[1]] + STEP
     table = tied_table(exact_scores)
-    scores = Scores(table, np.array([1.0, 0.0]))
+    scores = score_block(table, [np.array([1.0, 0.0])])[0]
     exact = scores.exact(np.arange(table.count))
     screen = exact.copy()
     screen[rows[0]] -= scores.eps
     screen[rows[1]] += scores.eps
     recorded = rescored(monkeypatch)
-    got = fold_metrics(table, PAIR_FOLDS, positive, Scores(table, scores.query, screen), k)
+    # A screen is the product before the division by the norm.
+    worst = Scores(table, scores.query, screen * table.norms)
+    got = fold_metrics(table, PAIR_FOLDS, positive, worst, k)
     return got, brute_fold_metrics(table, PAIR_FOLDS, positive, exact, k), set(recorded)
 
 
@@ -276,12 +275,12 @@ def test_rows_the_metrics_do_not_read_are_not_rescored(monkeypatch):
 
 
 def test_an_auc_pair_within_twice_the_bound_is_rescored_and_one_outside_is_not(monkeypatch):
-    eps = Scores(tied_table([0.0, 0.0]), np.array([1.0, 0.0])).eps
+    eps = score_block(tied_table([0.0, 0.0]), [np.array([1.0, 0.0])])[0].eps
     # Rows 0 and 1 tie, yet their screens sit a band apart; rows 2 and 3 sit
     # one step further apart, and their scores are within eps of that.
-    band = Scores(tied_table([0.0, 0.0]), np.array([1.0, 0.0])).band
+    band = score_block(tied_table([0.0, 0.0]), [np.array([1.0, 0.0])])[0].band
     table = tied_table([0.5, 0.5, 0.25, 0.25 - band, 0.0, 0.0])
-    scores = Scores(table, np.array([1.0, 0.0]))
+    scores = score_block(table, [np.array([1.0, 0.0])])[0]
     exact = scores.exact(np.arange(table.count))
     positive = np.array([True, False, True, False, True, False])
     screen = exact.copy()
@@ -292,7 +291,7 @@ def test_an_auc_pair_within_twice_the_bound_is_rescored_and_one_outside_is_not(m
     assert np.all(np.abs(screen - exact)[2:] <= eps)
     recorded = rescored(monkeypatch)
     rows = np.arange(table.count)
-    auc = pipeline._group_auc(Scores(table, scores.query, screen), rows, screen, positive)
+    auc = Scores(table, scores.query, screen * table.norms).group_auc(rows, positive)
     assert set(recorded) == {0, 1, 4, 5}
     assert auc == brute_force_auc(list(zip(exact.tolist(), positive.tolist())))
 
@@ -426,7 +425,7 @@ def gemv_report(monkeypatch, *args):
     """``evaluate`` with every relevant subset screened by its query's GEMV."""
     with monkeypatch.context() as patch:
         patch.setattr(pipeline, "relevant_subsets", lambda partition, scores, n: relevant_subsets(
-            partition, Scores(scores.table, scores.query), n))
+            partition, score_block(scores.table, [scores.query])[0], n))
         return dumps(evaluate(*args))
 
 

@@ -148,6 +148,10 @@ def test_input_file_fault_exits_with_the_file_class(tmp_path, kind, fault):
     [
         pytest.param("{oops", "metadata line 4 is not valid JSON", id="not-json"),
         pytest.param('{"id": "r2"}', "metadata line 4 needs a string label", id="no-label"),
+        pytest.param(
+            '{"id": "r2", "class": 5, "attributes": {"gender": "male"}}',
+            "metadata line 4 has a 'class' that is not a string", id="class-not-a-string",
+        ),
     ],
 )
 def test_metadata_error_after_blank_lines_names_the_physical_line(tmp_path, bad_line, message):
@@ -208,6 +212,16 @@ def test_metadata_count_is_checked_before_any_line(tmp_path):
         ("meta_file", 5),
         ("meta_file", None),
         ("meta_file", ["x"]),
+        # A path that leaves the dataset directory is not opened, even when it
+        # names a readable file.
+        ("vectors_file", "../ds/vectors.f32"),
+        ("meta_file", "../ds/meta.jsonl"),
+        pytest.param("vectors_file", str(Path(__file__).resolve()), id="vectors_file-absolute"),
+        pytest.param("meta_file", str(Path(__file__).resolve()), id="meta_file-absolute"),
+        pytest.param(
+            "attributes", [{"name": "gender", "values": ["male", "female"]}] * 2,
+            id="attribute-declared-twice",
+        ),
     ],
 )
 def test_manifest_fields_are_checked_not_coerced(tmp_path, field, value):

@@ -28,9 +28,9 @@ from bend.pipeline import (
     run_query_reports,
 )
 from bend.reference_index import (
-    Scores,
     build_index,
     retrieve_top_k,
+    score_block,
     top_n_by_attribute,
 )
 from bend.subspace import orthogonalize
@@ -106,7 +106,7 @@ def test_top_matches_sorted(table, query, data):
         st.lists(st.integers(0, table.count - 1), min_size=1, unique=True)
     )
     limit = data.draw(st.integers(1, table.count + 2))
-    got, similarities = Scores(table, normalize(query)).top(np.array(rows), limit)
+    got, similarities = score_block(table, [query])[0].top(np.array(rows), limit)
     assert got.tolist() == reference_top(table, scores, rows, limit)
     assert similarities.tolist() == scores[got].tolist()
 
@@ -141,7 +141,7 @@ def tied_table(scores):
 def test_top_keeps_the_tie_run_at_the_cutoff(scores, limit):
     table = tied_table(scores)
     column = definition(table, [1.0, 0.0])
-    ranking = Scores(table, np.array([1.0, 0.0]))
+    ranking = score_block(table, [np.array([1.0, 0.0])])[0]
     rows = np.arange(table.count)
     got = ranking.top(rows, limit)[0]
     assert got.tolist() == reference_top(table, column, rows.tolist(), limit)

@@ -10,6 +10,7 @@ from bend.reference_index import (
     build_index,
     relevant_subsets,
     retrieve_top_k,
+    score_block,
     top_n_by_attribute,
 )
 from bend.vectors import normalize
@@ -154,12 +155,12 @@ class TestRelevantSubsetsBand:
         # Ids run against row order, so row order cannot stand in for them.
         ids = [f"r{len(labels) - i:02d}" for i in range(len(labels))]
         table = table_from_rows(np.stack([scores, np.sqrt(1 - scores**2)], axis=1), labels, ids)
-        query = np.array([1.0, 0.0])
-        exact = Scores(table, query).exact(np.arange(table.count))
-        worst = exact + sign * Scores(table, query).eps * (-1.0) ** np.arange(table.count)
+        scores = score_block(table, [np.array([1.0, 0.0])])[0]
+        exact = scores.exact(np.arange(table.count))
+        worst = exact + sign * scores.eps * (-1.0) ** np.arange(table.count)
         partition = build_index(table).partition("gender")
         # A screen is the product before the division by the norm.
-        subsets = relevant_subsets(partition, Scores(table, query, worst * table.norms), n)
+        subsets = relevant_subsets(partition, Scores(table, scores.query, worst * table.norms), n)
         for value, members in partition.items():
             ranked = sorted(members.tolist(), key=lambda i: (-exact[i], table.ids[i]))
             assert list(subsets.indices[value]) == ranked[:n]
@@ -242,7 +243,7 @@ class TestTopNByAttribute:
             query = normalize(rng.standard_normal(12))
             n = int(rng.integers(1, 40))
             subsets = top_n_by_attribute(index, query, GENDER, n)
-            sims = Scores(table, query).exact(np.arange(table.count))
+            sims = score_block(table, [query])[0].exact(np.arange(table.count))
             for value in GENDER.values:
                 members = np.flatnonzero(labels == value)
                 ranked = sorted(

@@ -7,7 +7,8 @@ screen, GEMV or GEMM, must lie within ``screen_error_bound`` of the score for
 every row whose norm is not above ``SCREEN_NORMS``, and the bound must cover
 each error it is derived from. Every ranking must be exact whatever the screen
 says within the bound, and on rows of any magnitude; a ``retrieve`` report
-must not depend on the order of the target's rows.
+must not depend on the order of the target's rows, nor a ``debias`` report
+with bundled directions on the order of the reference's.
 """
 
 import os
@@ -22,8 +23,15 @@ from hypothesis import strategies as st
 
 from bend.augment import GENDER
 from bend.dataset import LabeledEmbeddingTable
-from bend.errors import EmptyGroup, MetadataError
-from bend.pipeline import RunConfig, _fold_tops, parse_query_row, retrieval_report_json
+from bend.errors import BendError, EmptyGroup, MetadataError
+from bend.pipeline import (
+    RunConfig,
+    debias_report_json,
+    parse_query_row,
+    resolve_query,
+    retrieval_report_json,
+    run_query_reports,
+)
 from bend.reference_index import (
     SCREEN_NORMS,
     Scores,
@@ -35,7 +43,7 @@ from bend.reference_index import (
     top_n_by_attribute,
 )
 from bend.reporting import dumps
-from bend.vectors import normalize
+from bend.vectors import ZERO_NORM_EPS, normalize
 from test_ranking import (
     CLASSES,
     assert_evaluate_matches_sorted,
@@ -100,10 +108,10 @@ def spread_rows(rng, count, dim, spread):
 def test_the_definition_sums_in_numpys_pairwise_order(dim):
     rng = np.random.default_rng(dim)
     table = raw_table(spread_rows(rng, 20, dim, 4))
-    query = normalize(spread_rows(rng, 1, dim, 4)[0])
-    got = Scores(table, query).exact(np.arange(table.count))
+    scores = score_block(table, [spread_rows(rng, 1, dim, 4)[0]])[0]
+    got = scores.exact(np.arange(table.count))
     unit = table.unit_rows(slice(None))
-    want = [pairwise_sum(row * query) for row in unit]
+    want = [pairwise_sum(row * scores.query) for row in unit]
     assert got.tobytes() == np.array(want).tobytes()
 
 
@@ -111,14 +119,14 @@ DISPATCH_PROBE = """
 import hashlib, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
-from bend.reference_index import Scores
+from bend.reference_index import score_block
 from test_screen import raw_table, spread_rows
 digest = hashlib.sha256()
 for dim in (2, 9, 64, 129, 512):
     rng = np.random.default_rng(dim)
     table = raw_table(spread_rows(rng, 300, dim, 3))
     query = spread_rows(rng, 1, dim, 3)[0]
-    digest.update(Scores(table, query / np.linalg.norm(query)).exact(np.arange(300)).tobytes())
+    digest.update(score_block(table, [query])[0].exact(np.arange(300)).tobytes())
 print(digest.hexdigest())
 """
 
@@ -147,11 +155,31 @@ def test_screens_differ_from_the_definition_by_at_most_the_bound(
     dim, count, width, spread, scale, seed
 ):
     rng = np.random.default_rng(seed)
-    table = raw_table(spread_rows(rng, count, dim, spread) * 10.0**scale)
-    queries = [normalize(q) for q in spread_rows(rng, width, dim, spread)]
+    drawn = spread_rows(rng, count, dim, spread) * 10.0**scale
+    # The table's norms, of the float32 rows in float64: one of ZERO_NORM_EPS
+    # or less is a zero row, rejected before any screen.
+    norms = np.linalg.norm(drawn.astype(np.float32).astype(np.float64), axis=1)
+    if np.any(norms <= ZERO_NORM_EPS):
+        with pytest.raises(MetadataError, match="has a zero vector"):
+            raw_table(drawn)
+        return
+    table = raw_table(drawn)
+    queries = list(spread_rows(rng, width, dim, spread))
     rows = np.arange(count)
-    for scores in score_block(table, queries) + [Scores(table, q) for q in queries]:
+    for scores in score_block(table, queries) + [score_block(table, [q])[0] for q in queries]:
         assert np.all(np.abs(scores.screen - scores.exact(rows)) <= scores.eps)
+
+
+@pytest.mark.parametrize("scale", [3.0, 1e-3])
+def test_score_block_scores_each_query_normalized(scale):
+    rng = np.random.default_rng(5)
+    table = raw_table(spread_rows(rng, 30, 9, 2))
+    vector = scale * spread_rows(rng, 1, 9, 2)[0]
+    scores = score_block(table, [vector])[0]
+    assert scores.query.tobytes() == normalize(vector).tobytes()
+    exact = scores.exact(np.arange(table.count))
+    assert exact.tobytes() == definition(table, vector).tobytes()
+    assert np.all(np.abs(scores.screen - exact) <= scores.eps)
 
 
 @pytest.mark.parametrize("dim", [2, 8, 64, 512, 4096])
@@ -166,14 +194,13 @@ def test_the_bound_covers_each_error_it_is_derived_from(dim):
 @settings(max_examples=100)
 @given(tables(), grid_vectors, st.data())
 def test_any_screen_within_the_bound_ranks_exactly(table, query, data):
-    query = normalize(query)
-    scores = Scores(table, query)
+    scores = score_block(table, [query])[0]
     exact = scores.exact(np.arange(table.count))
     # Each screen off by the bound at most, the bound itself included.
     shift = data.draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
                                min_size=table.count, max_size=table.count))
     # A screen is the product before the division by the norm.
-    worst = Scores(table, query, (exact + np.array(shift) * scores.eps) * table.norms)
+    worst = Scores(table, scores.query, (exact + np.array(shift) * scores.eps) * table.norms)
     rows = np.array(data.draw(
         st.lists(st.integers(0, table.count - 1), min_size=1, unique=True)
     ))
@@ -184,7 +211,7 @@ def test_any_screen_within_the_bound_ranks_exactly(table, query, data):
     fold_count = data.draw(st.integers(1, 3))
     fold_of = np.array(data.draw(st.lists(st.integers(0, fold_count - 1),
                                           min_size=table.count, max_size=table.count)))
-    for f, top in enumerate(_fold_tops(worst, fold_of, fold_count, limit)):
+    for f, top in enumerate(worst.fold_tops(fold_of, fold_count, limit)):
         pool = np.flatnonzero(fold_of != f).tolist()
         assert sorted(top.tolist()) == sorted(reference_top(table, exact, pool, limit))
     partition = build_index(table).partition("gender")
@@ -264,3 +291,29 @@ def test_a_retrieve_report_does_not_depend_on_row_order(table, query, k, data):
         return dumps(retrieval_report_json(t, retrieved, k, metric_space=GENDER, prior=prior))
 
     assert report(shuffled) == report(table)
+
+
+@settings(max_examples=30)
+@given(tables(), st.lists(grid_vectors, min_size=5, max_size=5), st.integers(1, 12), st.data())
+def test_a_debias_report_does_not_depend_on_reference_row_order(table, vectors, n, data):
+    # Bundled directions only: reference-means directions sum the group's
+    # rows in table order, so their last bits may move with it.
+    permutation = data.draw(st.permutations(range(table.count)))
+    row = parse_query_row({
+        "id": "q",
+        "vector": vectors[0],
+        "augmented": dict(zip(GENDER.values, vectors[1:3])),
+        "generic": dict(zip(GENDER.values, vectors[3:])),
+    })
+    cfg = RunConfig(attribute="gender", n=n)
+
+    def report(t):
+        index = build_index(t)
+        try:
+            resolved = resolve_query(row, GENDER, index, cfg)
+            reports, subsets = run_query_reports(resolved, index, GENDER, cfg)
+        except BendError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return dumps(debias_report_json(resolved, reports, subsets, index, GENDER, cfg))
+
+    assert report(table.subset(permutation)) == report(table)
