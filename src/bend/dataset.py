@@ -43,6 +43,13 @@ QUERIES_NAME = "queries.jsonl"
 # Rows per block when vectors stream from disk, or pass through float64:
 # reading a table holds the float32 table plus one block, never a second copy.
 BLOCK_ROWS = 4096
+# Bytes of the float64 scratch that rows are squared into for their norms:
+# with the float32 rows it squares, small enough to stay in a core's L2 cache
+# between the square and the sum.
+SQUARE_BYTES = 1 << 20
+# The decoder json.loads uses, called directly: a line that is one object then
+# skips json.loads's whitespace scans and its two call layers.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True)
@@ -67,11 +74,15 @@ class LabeledEmbeddingTable:
         if rows.ndim != 2 or rows.shape[1] < 2:
             raise ConfigError("vectors must be (N, d) with d >= 2")
         norms = np.empty(n)
-        for start in range(0, n, BLOCK_ROWS):
-            # np.linalg.norm's sum of squares, squared in float64 without a copy first.
-            squares = np.square(rows[start : start + BLOCK_ROWS], dtype=np.float64)
-            norms[start : start + BLOCK_ROWS] = np.add.reduce(squares, axis=1)
-            del squares  # freed before the next block is squared: one block at a time
+        step = max(1, SQUARE_BYTES // (8 * rows.shape[1]))
+        scratch = np.empty((min(step, n), rows.shape[1]))
+        for start in range(0, n, step):
+            # np.linalg.norm's sum of squares, squared in float64 without a copy
+            # first. Summed from a C-ordered scratch row, each row's sum is the
+            # same whatever the block size or the layout of the given rows.
+            block = rows[start : start + step]
+            squares = np.square(block, out=scratch[: block.shape[0]], dtype=np.float64)
+            np.add.reduce(squares, axis=1, out=norms[start : start + step])
         np.sqrt(norms, out=norms)
         finite = np.isfinite(norms)
         if not finite.all():  # anywhere, even after a zero row
@@ -227,8 +238,11 @@ def read_json_lines(path: Path, what: str) -> tuple[int, Iterator[tuple[int, dic
     ``(0-based line number, object)`` over them. Each line is parsed on its own
     when drawn and then dropped, so no record outlives its use. Only a line feed
     ends a line (text mode has already turned CR LF and CR into one), so a raw
-    U+2028 or U+0085 inside a JSON string stays in its record. An unreadable
-    file raises ``DatasetIOError``; bad UTF-8, JSON or objects ``MetadataError``."""
+    U+2028 or U+0085 inside a JSON string stays in its record. Every line gets
+    ``json.loads``'s verdict: a line that is one object from its first to its
+    last character is decoded by one reused decoder, and any other line by
+    ``json.loads`` itself. An unreadable file raises ``DatasetIOError``; bad
+    UTF-8, JSON or objects ``MetadataError``."""
     lines = _read_text(path, f"{what} file", MetadataError).split("\n")
     return sum(1 for line in lines if line.strip()), _json_objects(lines, what)
 
@@ -240,7 +254,11 @@ def _json_objects(lines: list[str], what: str) -> Iterator[tuple[int, dict]]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            # An object that fills its line is what json.loads would return; any
+            # other line (padded, trailing text, not an object) is its to judge.
+            record, end = _raw_decode(line) if line[:1] == "{" else (None, 0)
+            if end != len(line):
+                record = json.loads(line)
         except (ValueError, RecursionError):
             raise MetadataError(f"{what} line {lineno} is not valid JSON") from None
         if not isinstance(record, dict):

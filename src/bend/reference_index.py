@@ -200,8 +200,13 @@ def _within(values: np.ndarray, ascending: np.ndarray, band: float) -> np.ndarra
 
 def score_block(table: LabeledEmbeddingTable, queries: Sequence) -> list[Scores]:
     """Each query's ``Scores``, over the query normalized, all screened by one
-    float32 product (numpy runs a block of one as a GEMV)."""
-    units = [normalize(query) for query in queries]
+    float32 product (numpy runs a block of one as a GEMV). A query of another
+    width than the table's raises ``DimensionMismatch``."""
+    units = []
+    for query in map(as_vector, queries):
+        if query.shape[0] != table.dim:
+            raise DimensionMismatch(f"query has dimension {query.shape[0]}, table {table.dim}")
+        units.append(normalize(query))
     with np.errstate(over="ignore", invalid="ignore"):  # rows above SCREEN_NORMS
         screens = np.stack(units).astype(np.float32) @ table.rows.T if units else ()
     return [Scores(table, unit, screen) for unit, screen in zip(units, screens)]
@@ -237,9 +242,6 @@ def retrieve_top_k(table: LabeledEmbeddingTable, query, k: int) -> list[Retrieve
     """The k most similar records (all of them when k exceeds the table)."""
     if k < 1:
         raise ConfigError("k must be at least 1")
-    query = as_vector(query)
-    if query.shape[0] != table.dim:
-        raise DimensionMismatch(f"query has dimension {query.shape[0]}, table {table.dim}")
     rows, similarities = score_block(table, [query])[0].top(np.arange(table.count), k)
     rows = rows.tolist()
     return list(map(Retrieved, rows, map(table.ids.__getitem__, rows), similarities.tolist()))

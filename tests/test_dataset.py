@@ -1,10 +1,14 @@
 import dataclasses
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bend import dataset
 from bend.augment import GENDER
@@ -18,6 +22,7 @@ from bend.dataset import (
     load_synth_spec,
     make_folds,
     read_dataset,
+    read_json_lines,
     split_reference_target,
     synth_generate,
     synth_query_rows,
@@ -334,6 +339,52 @@ class TestStreamedIngest:
         assert written == np.ascontiguousarray(table.rows, dtype="<f4").tobytes()
 
 
+class TestNormScratch:
+    """Rows are squared for their norms into a float64 scratch of
+    ``SQUARE_BYTES``, patched here to hold ``B`` rows, so that small tables
+    cross its edges."""
+
+    B = 4
+
+    @pytest.mark.parametrize("dim", [2, 64, 513])
+    @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_norms_are_each_rows_own_sum_of_squares(
+        self, rng, monkeypatch, dim, count, order
+    ):
+        monkeypatch.setattr(dataset, "SQUARE_BYTES", 8 * dim * self.B)
+        rows = rng.standard_normal((count, dim)) * 10.0 ** rng.integers(-3, 4, (count, 1))
+        rows = np.asarray(rows, dtype=np.float32, order=order)
+        table = dataclasses.replace(small_table(rng, count=count, dim=dim), rows=rows)
+        # Whatever the layout it was given in, a table's norms are its C copy's.
+        squares = np.square(np.ascontiguousarray(rows), dtype=np.float64)
+        assert table.norms.tobytes() == np.sqrt(np.add.reduce(squares, axis=1)).tobytes()
+
+    @pytest.mark.parametrize(
+        "zero, non_finite",
+        [
+            ([B - 1], []), ([B], []), ([B, 2 * B], []),
+            ([], [B - 1]), ([], [B]), ([], [B, 2 * B]),
+            ([B - 1], [B]), ([B], [B - 1]), ([0], [2 * B]), ([2 * B], [0]),
+        ],
+    )
+    def test_bad_rows_are_reported_alike_across_an_edge(self, rng, monkeypatch, zero, non_finite):
+        monkeypatch.setattr(dataset, "SQUARE_BYTES", 8 * 5 * self.B)
+        rows = rng.standard_normal((2 * self.B + 1, 5))
+        rows[zero] = 0.0
+        rows[non_finite, 1] = [np.inf, np.nan][: len(non_finite)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((NonUnitRow, MetadataError)) as excinfo:
+                dataclasses.replace(small_table(rng, count=rows.shape[0], dim=5), rows=rows)
+        if non_finite:  # anywhere, even after a zero row
+            assert type(excinfo.value) is NonUnitRow
+            assert str(excinfo.value) == f"dataset record {min(non_finite)} has a non-finite component"
+        else:
+            assert type(excinfo.value) is MetadataError
+            assert str(excinfo.value) == f"dataset record {min(zero)} has a zero vector"
+
+
 def test_metadata_is_parsed_line_by_line(rng, tmp_path):
     # Joined into one JSON array these lines parse as three records; on its
     # own, each line is invalid JSON.
@@ -349,6 +400,73 @@ def test_metadata_is_parsed_line_by_line(rng, tmp_path):
     with pytest.raises(MetadataError, match="metadata line 0 is not valid JSON") as excinfo:
         read_dataset(path)
     assert excinfo.value.exit_code == 5
+
+
+TEXT = st.text(alphabet="ab{}[]\",:\\ \t\u2028\u0085\ufeff\xe9", max_size=5)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+# A canonical record, its strings raw (a } { or U+2028 unescaped) or escaped.
+RECORDS = st.builds(
+    json.dumps, st.dictionaries(TEXT, JSON_VALUES, max_size=4), ensure_ascii=st.booleans()
+)
+PADDING = st.text(alphabet=" \t\r", max_size=3)
+LINES = st.one_of(
+    RECORDS,
+    st.tuples(PADDING, RECORDS, PADDING).map("".join),
+    st.tuples(RECORDS, st.sampled_from([" ", "", "x", ", "]), RECORDS).map("".join),
+    RECORDS.flatmap(lambda r: st.integers(0, len(r)).map(lambda i: f"{r[:i]}\n{r[i:]}")),
+    RECORDS.map("\ufeff".__add__),
+    st.sampled_from(["[]", "1", '"s"', "null", "", " ", "\t", "{", "}"]),
+    st.sampled_from([10, 100_000]).map(lambda n: '{"x": ' + "[" * n + "]" * n + "}"),
+)
+
+
+def json_loads_line_by_line(text: str):
+    """What reading ``text`` with ``json.loads`` on each line gives: the
+    records, and the error that stops them (or None)."""
+    records = []
+    for lineno, line in enumerate(text.split("\n")):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError):
+            return records, f"query line {lineno} is not valid JSON"
+        if not isinstance(record, dict):
+            return records, f"query line {lineno} is not a JSON object"
+        records.append((lineno, record))
+    return records, None
+
+
+@given(
+    lines=st.lists(LINES, max_size=6),
+    ending=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+@example(lines=["{} {}"], ending="\n")
+@example(lines=["{}x"], ending="\n")
+@example(lines=['{"a": 1}, {"b": 2}'], ending="\n")
+@example(lines=['{"a":', "1}"], ending="\n")
+@example(lines=[' {"a": "}{\u2028"}\t', '\t{"b": "{"} '], ending="\r\n")
+@example(lines=["\ufeff{}"], ending="\n")
+@example(lines=["[]", "1", '"s"', "null"], ending="\n")
+@example(lines=['{"x": ' + "[" * 100_000 + "]" * 100_000 + "}"], ending="\n")
+def test_json_lines_read_as_json_loads_reads_each_line(lines, ending):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "queries.jsonl"
+        path.write_bytes(ending.join(lines).encode("utf-8") + ending.encode())
+        text = path.read_text(encoding="utf-8")  # universal newlines, as a reader sees it
+        expected, expected_error = json_loads_line_by_line(text)
+        count, records = read_json_lines(path, "query")
+        got, error = [], None
+        try:
+            got.extend(records)
+        except MetadataError as exc:
+            error = str(exc)
+    assert count == sum(1 for line in text.split("\n") if line.strip())
+    assert (got, error) == (expected, expected_error)
 
 
 class TestSplit:

@@ -4,7 +4,7 @@ import pytest
 from bend import reference_index
 from bend.augment import GENDER, attribute_space
 from bend.dataset import LabeledEmbeddingTable, SynthCell, SynthSpec, synth_generate
-from bend.errors import ConfigError, EmptyGroup, UnknownLabel
+from bend.errors import ConfigError, DimensionMismatch, EmptyGroup, UnknownLabel
 from bend.reference_index import (
     Scores,
     build_index,
@@ -285,3 +285,17 @@ class TestRetrieveTopK:
         with pytest.raises(ConfigError):
             retrieve_top_k(four_record_index.table, np.array([1.0, 0.0]), 0)
 
+
+@pytest.mark.parametrize(
+    "rank",
+    [
+        lambda table, query: retrieve_top_k(table, query, 1),
+        lambda table, query: top_n_by_attribute(build_index(table), query, GENDER, 1),
+    ],
+    ids=["retrieve_top_k", "top_n_by_attribute"],
+)
+def test_every_ranking_checks_the_query_width(rank):
+    table = table_from_rows(np.eye(4, 3) + 0.1, ["male", "female"] * 2)
+    with pytest.raises(DimensionMismatch, match="^query has dimension 4, table 3$") as excinfo:
+        rank(table, np.ones(4))
+    assert excinfo.value.exit_code == 5
