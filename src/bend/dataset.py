@@ -33,6 +33,7 @@ from .errors import (
     TooSmall,
     UnknownLabel,
 )
+from .reporting import SCHEMA
 from .vectors import ZERO_NORM_EPS, gram_schmidt, is_number
 
 DTYPE = "f32le"
@@ -313,6 +314,9 @@ def read_dataset(manifest_path: str | Path) -> LabeledEmbeddingTable:
     manifest = read_json(manifest_path, "manifest", ManifestError)
     if not isinstance(manifest, dict):
         raise ManifestError("manifest must be a JSON object")
+    schema = manifest.get("schema")
+    if schema is not None and schema != SCHEMA:
+        raise ManifestError(f"manifest has unknown schema {schema!r}; expected {SCHEMA!r}")
     try:
         dim = _json_int(manifest["dim"], "manifest 'dim'", ManifestError)
         count = _json_int(manifest["count"], "manifest 'count'", ManifestError)
@@ -393,7 +397,7 @@ def write_dataset(
                     record["class"] = table.classes[i]
                 handle.write(json.dumps(record) + "\n")
         manifest = {
-            "schema": "bend/1",
+            "schema": SCHEMA,
             "dim": table.dim,
             "count": table.count,
             "dtype": DTYPE,
@@ -543,8 +547,8 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
         )
         cells = tuple(
             SynthCell(
-                class_name=str(cell["class"]),
-                value=str(cell["value"]),
+                class_name=_spec_string(cell["class"], "cell 'class'"),
+                value=_spec_string(cell["value"], "cell 'value'"),
                 bias=_spec_number(cell["bias"], "cell 'bias'"),
                 count=_json_int(cell["count"], "spec cell 'count'", SynthSpecError),
             )
@@ -552,9 +556,9 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
         )
         queries = tuple(
             SynthQuerySpec(
-                query_id=str(q["id"]),
-                class_name=str(q["class"]),
-                align_value=str(q["align"]),
+                query_id=_spec_string(q["id"], "query 'id'"),
+                class_name=_spec_string(q["class"], "query 'class'"),
+                align_value=_spec_string(q["align"], "query 'align'"),
                 scale=_spec_number(q.get("scale", 1.0), "query 'scale'"),
                 aug_noise=_spec_number(q.get("aug_noise", 0.0), "query 'aug_noise'"),
             )
@@ -570,6 +574,12 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SynthSpecError(f"malformed spec field: {exc}") from None
+
+
+def _spec_string(value, what: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise SynthSpecError(f"spec {what} must be a string, got {value!r}")
 
 
 def _spec_number(value, what: str) -> float:
@@ -635,7 +645,7 @@ def synth_query_rows(spec: SynthSpec) -> list[dict]:
         base = w + align_bias * query.scale * u
         base = base / np.linalg.norm(base)
         row = {
-            "schema": "bend/1",
+            "schema": SCHEMA,
             "id": query.query_id,
             "vector": base.tolist(),
             "class": query.class_name,

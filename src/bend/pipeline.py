@@ -39,13 +39,12 @@ from .reference_index import (
     RelevantSubsets,
     Scores,
     build_index,
-    relevant_subsets,
     retrieve_top_k,  # the CLI's retrieve verb calls it through this module
     score_block,
     top_n_by_attribute,
 )
 from .reporting import SCHEMA, summary_stats
-from .subspace import AttributeMatrix, build_attribute_matrix, orthogonalize
+from .subspace import build_attribute_matrix, orthogonalize
 from .vectors import Vector, normalize, number_vector
 
 # Finals that ``evaluate`` screens with one GEMM: 3.2 MB of float32 at 50k rows.
@@ -195,6 +194,9 @@ def _per_value(
     missing = set(space.values) - set(vectors)
     if missing:
         raise MetadataError(f"query {row.id!r} {what} vectors missing {sorted(missing)}")
+    extra = set(vectors) - set(space.values)
+    if extra:
+        raise MetadataError(f"query {row.id!r} {what} vectors name unknown values {sorted(extra)}")
     return {v: vectors[v] for v in space.values}
 
 
@@ -265,31 +267,6 @@ def resolve_query(
     )
 
 
-@dataclass(frozen=True)
-class _Step1:
-    """A resolved query with its attribute matrix and step-1 ranking vector."""
-
-    resolved: ResolvedQuery
-    matrix: AttributeMatrix
-    ranking: Vector
-
-
-def _step1(resolved: ResolvedQuery) -> _Step1:
-    matrix = build_attribute_matrix(resolved.embedding, resolved.augmented, resolved.generic)
-    # Step 2's relevant references are the ones closest to the step-1 query.
-    return _Step1(resolved, matrix, orthogonalize(resolved.embedding, matrix))
-
-
-def _step2(
-    first: _Step1, subsets: RelevantSubsets, cfg: RunConfig
-) -> dict[str, DebiasReport]:
-    """The query debiased in every configured mode against ``subsets``."""
-    return {
-        mode: debias(first.resolved.embedding, first.matrix, subsets, mode)
-        for mode in cfg.modes
-    }
-
-
 def run_query_reports(
     resolved: ResolvedQuery,
     index: ReferenceIndex,
@@ -311,9 +288,13 @@ def run_query_reports(
             for mode in cfg.modes
         }
         return passthrough, None
-    first = _step1(resolved)
-    subsets = top_n_by_attribute(index, first.ranking, space, cfg.n)
-    return _step2(first, subsets, cfg), subsets
+    matrix = build_attribute_matrix(resolved.embedding, resolved.augmented, resolved.generic)
+    # Step 2's relevant references are the ones closest to the step-1 query.
+    ranking = orthogonalize(resolved.embedding, matrix)
+    subsets = top_n_by_attribute(index, ranking, space, cfg.n)
+    return {
+        mode: debias(resolved.embedding, matrix, subsets, mode) for mode in cfg.modes
+    }, subsets
 
 
 def resolve_space(
@@ -448,12 +429,13 @@ def evaluate(
 ) -> dict:
     """Run every configured mode over every query and aggregate fold metrics.
 
-    Per-query failures become error entries rather than aborting the run.
-    Queries run in blocks of at most ``SCORE_BLOCK_COLUMNS`` finals, each block
-    on its own: one float32 GEMM screens the reference for the block's step-1
-    queries, and one screens the target for its finals; the rows the screens
-    cannot place are rescored (``Scores``). The returned dict is ready for
-    deterministic serialization.
+    Each query is debiased on its own, as ``bend debias`` does it
+    (``resolve_query`` then ``run_query_reports``); per-query failures become
+    error entries rather than aborting the run. Queries are scored in blocks
+    of at most ``SCORE_BLOCK_COLUMNS`` finals, each block on its own: one
+    float32 GEMM screens the target for the block's finals, and the rows the
+    screen cannot place are rescored (``Scores``). The returned dict is ready
+    for deterministic serialization.
     """
     if reference.dim != target.dim:
         raise DimensionMismatch(
@@ -461,7 +443,6 @@ def evaluate(
         )
     space = resolve_space(reference, cfg.attribute, target)
     index = build_index(reference)
-    partition = index.partition(space.name)
     folds = make_folds(target.count, cfg.fold_count, cfg.seed)
     codes = target.codes[space.name]
     layout = _fold_layout(folds, codes, len(space.values))
@@ -476,24 +457,13 @@ def evaluate(
     def failed(row: QueryRow, exc: BendError) -> dict:
         return {"id": row.id, "error": f"{type(exc).__name__}: {exc}"}
 
-    def step1(row: QueryRow) -> _Step1 | _Debiased | dict:
-        """The query resolved and ranked for step 2 (debiased if skipped), or
-        its error entry."""
+    def debiased(row: QueryRow) -> _Debiased | dict:
+        """The query debiased in every mode, or its error entry."""
         try:
             resolved = resolve_query(row, space, index, cfg)
-            if resolved.skipped:
-                return _Debiased(resolved, *run_query_reports(resolved, index, space, cfg))
-            return _step1(resolved)
+            return _Debiased(resolved, *run_query_reports(resolved, index, space, cfg))
         except BendError as exc:
             return failed(row, exc)
-
-    def debiased(first: _Step1, ranking: Scores) -> _Debiased | dict:
-        """The query debiased in every mode, its subsets ranked by ``ranking``."""
-        try:
-            subsets = relevant_subsets(partition, ranking, cfg.n)
-            return _Debiased(first.resolved, _step2(first, subsets, cfg), subsets)
-        except BendError as exc:
-            return failed(first.resolved.row, exc)
 
     def scored(done: _Debiased, columns: Sequence[Scores]) -> dict:
         """The entry of a debiased query, from each mode's final's scores."""
@@ -523,10 +493,7 @@ def evaluate(
     entries = []
     per_block = max(1, SCORE_BLOCK_COLUMNS // len(cfg.modes))
     for start in range(0, len(queries), per_block):
-        firsts = [step1(row) for row in queries[start : start + per_block]]
-        rankings = [f.ranking for f in firsts if isinstance(f, _Step1)]
-        ranked = iter(score_block(reference, rankings))
-        block = [debiased(f, next(ranked)) if isinstance(f, _Step1) else f for f in firsts]
+        block = [debiased(row) for row in queries[start : start + per_block]]
         finals = [
             d.reports[mode].final for d in block if isinstance(d, _Debiased) for mode in cfg.modes
         ]

@@ -8,10 +8,10 @@ rows its metrics read whose screens sit within a band (twice the bound) of a
 top-k cut or of a row of the other label; it must give the brute-force
 metrics whatever the screen says within the bound, and must not rescore rows
 further apart.
-``evaluate`` screens each block with one GEMM per table, and its report must
-not change when every query is screened by its own GEMV instead, or when the
-bound covers every row so that every row is rescored, on continuous and on
-tie-heavy tables. An ``evaluate`` entry must not depend on which other queries
+``evaluate`` debiases each query as ``resolve_query`` and
+``run_query_reports`` do, and screens each block's finals with one GEMM over
+the target; its report must not change when the bound covers every row so
+that every row is rescored, on continuous and on tie-heavy tables. An ``evaluate`` entry must not depend on which other queries
 or modes ran, and its counts and metrics must survive a rotation of every
 vector.
 """
@@ -26,8 +26,10 @@ from hypothesis import strategies as st
 
 from bend import pipeline, reference_index
 from bend.augment import GENDER
+from bend.client import EmbeddingEndpoint
 from bend.dataset import LabeledEmbeddingTable
 from bend.equalize import MODES
+from bend.errors import BendError
 from bend.metrics import sorted_group_auc
 from bend.pipeline import (
     SCORE_BLOCK_COLUMNS,
@@ -38,7 +40,7 @@ from bend.pipeline import (
     evaluate,
     parse_query_row,
 )
-from bend.reference_index import Scores, relevant_subsets, score_block
+from bend.reference_index import Scores, build_index, score_block
 from bend.reporting import dumps
 from test_metrics import brute_force_auc
 from test_ranking import CLASSES, grid_vectors, reference_top, tables, tied_table
@@ -356,7 +358,8 @@ def assert_entries_stand_alone(queries, reference, target, cfg):
 
 
 def count_screened_columns(monkeypatch):
-    """Record, for each GEMM ``evaluate`` runs, its table's prefix and width."""
+    """Record, for each GEMM ``evaluate`` runs over the target, its table's
+    prefix and width."""
     calls = []
 
     def counted(table, queries):
@@ -389,9 +392,8 @@ def test_a_block_of_failed_queries_screens_no_final(monkeypatch):
     cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
     entries = evaluate(queries, reference, target, cfg)["queries"]
     assert ["error" in entry for entry in entries] == [True] * 4 + [False] * 2
-    # The first block screens nothing; the second screens both queries'
-    # step-1 rankings and all eight finals.
-    assert calls == [("ref", 0), ("tgt", 0), ("ref", 2), ("tgt", 8)]
+    # The first block screens no final; the second screens all eight.
+    assert calls == [("tgt", 0), ("tgt", 8)]
 
 
 def duplicated(table):
@@ -421,14 +423,6 @@ def test_a_target_of_duplicate_rows_rescores_only_its_bands(monkeypatch):
     assert_entries_stand_alone(queries, reference, target, cfg)
 
 
-def gemv_report(monkeypatch, *args):
-    """``evaluate`` with every relevant subset screened by its query's GEMV."""
-    with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "relevant_subsets", lambda partition, scores, n: relevant_subsets(
-            partition, score_block(scores.table, [scores.query])[0], n))
-        return dumps(evaluate(*args))
-
-
 def every_row_rescored_report(monkeypatch, *args):
     """``evaluate`` with a bound so wide that every ranking and AUC rescores
     every row it reads."""
@@ -437,27 +431,53 @@ def every_row_rescored_report(monkeypatch, *args):
         return dumps(evaluate(*args))
 
 
-def test_evaluate_picks_relevant_subsets_off_the_reference_gemm(monkeypatch):
+def test_evaluate_entries_carry_the_debias_path_reports(embed_stub):
     rng = np.random.default_rng(17)
     reference = continuous_table(rng, 60, 8, "ref")
     target = continuous_table(rng, 70, 8, "tgt")
-    queries = block_queries(rng, 8)
-    cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
-    calls = count_screened_columns(monkeypatch)
-    report = dumps(evaluate(queries, reference, target, cfg))
-    assert calls == [("ref", 3), ("tgt", 12), ("ref", 2), ("tgt", 8)]
-    assert report == gemv_report(monkeypatch, queries, reference, target, cfg)
+
+    def vector(dim=8):
+        return rng.standard_normal(dim).tolist()
+
+    queries = [parse_query_row(record) for record in [
+        {"id": "bundled", "class": CLASSES[0], "vector": vector(),
+         "augmented": {v: vector() for v in GENDER.values},
+         "generic": {v: vector() for v in GENDER.values}},
+        {"id": "bare", "class": CLASSES[1], "vector": vector()},
+        {"id": "text", "text": "a photo of a nurse"},
+        {"id": "skipped", "text": "a photo of a male nurse"},
+        {"id": "wide", "vector": vector(9)},
+    ]]
+    endpoint = EmbeddingEndpoint(url=embed_stub(8), expected_dim=8)
+    cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3, embed_endpoint=endpoint)
+    entries = evaluate(queries, reference, target, cfg)["queries"]
+    index = build_index(reference)
+    for row, entry in zip(queries, entries):
+        try:
+            resolved = pipeline.resolve_query(row, GENDER, index, cfg)
+            reports, subsets = pipeline.run_query_reports(resolved, index, GENDER, cfg)
+        except BendError as exc:
+            assert entry == {"id": row.id, "error": f"{type(exc).__name__}: {exc}"}
+            continue
+        assert entry["skipped"] == (row.id == "skipped")
+        assert entry["n_used"] == (None if subsets is None else subsets.n_used)
+        for mode, report in reports.items():
+            got = entry["modes"][mode]
+            assert got["distance_gap"] == report.distance_gap
+            assert got["lambda"] == report.lam
+            assert got["dropped_columns"] == report.dropped_columns
+            assert got["max_equalization_residual"] == max(report.residuals, default=None)
+    assert ["error" in entry for entry in entries] == [False] * 4 + [True]
 
 
 @pytest.mark.parametrize("n", [8, 40], ids=["top-n", "whole-groups"])
-def test_a_reference_of_duplicate_rows_gives_the_gemv_report(monkeypatch, n):
+def test_a_reference_of_duplicate_rows_gives_the_every_row_rescored_report(monkeypatch, n):
     rng = np.random.default_rng(19)
     reference = duplicated(continuous_table(rng, 30, 8, "ref"))
     target = continuous_table(rng, 70, 8, "tgt")
     queries = block_queries(rng, 8)
     cfg = RunConfig(attribute="gender", n=n, k=15, seed=3, fold_count=3)
     report = dumps(evaluate(queries, reference, target, cfg))
-    assert report == gemv_report(monkeypatch, queries, reference, target, cfg)
     assert report == every_row_rescored_report(monkeypatch, queries, reference, target, cfg)
     assert_entries_stand_alone(queries, reference, target, cfg)
 

@@ -222,6 +222,8 @@ def test_metadata_count_is_checked_before_any_line(tmp_path):
             "attributes", [{"name": "gender", "values": ["male", "female"]}] * 2,
             id="attribute-declared-twice",
         ),
+        ("schema", "bend/9"),
+        ("schema", 1),
     ],
 )
 def test_manifest_fields_are_checked_not_coerced(tmp_path, field, value):
@@ -232,6 +234,14 @@ def test_manifest_fields_are_checked_not_coerced(tmp_path, field, value):
     with pytest.raises(ManifestError) as excinfo:
         read_dataset(manifest)
     assert excinfo.value.exit_code == 5
+
+
+def test_a_manifest_without_a_schema_loads(tmp_path):
+    manifest = _dataset(tmp_path)
+    body = json.loads(manifest.read_text())
+    assert body.pop("schema") == "bend/1"
+    manifest.write_text(json.dumps(body))
+    assert read_dataset(manifest).count == COUNT
 
 
 def test_manifest_integral_floats_are_counts(tmp_path):
@@ -263,12 +273,32 @@ def test_manifest_integral_floats_are_counts(tmp_path):
     ],
 )
 def test_spec_numbers_are_checked_not_coerced(tmp_path, where, field, value):
+    assert_spec_rejected(tmp_path, where, field, value)
+
+
+@pytest.mark.parametrize(
+    "where, field, value",
+    [
+        ("cell", "class", None),
+        ("cell", "class", ["x"]),
+        ("cell", "value", 1),
+        ("query", "id", 7),
+        ("query", "class", None),
+        ("query", "align", ["male"]),
+    ],
+)
+def test_spec_strings_are_checked_not_coerced(tmp_path, where, field, value):
+    # Their printed forms could fail later checks too; the message names why.
+    assert_spec_rejected(tmp_path, where, field, value, f"spec {where} '{field}' must be a string")
+
+
+def assert_spec_rejected(tmp_path, where, field, value, message=None):
     body = spec_body()
     target = {"spec": body, "cell": body["cells"][0], "query": body["queries"][0]}[where]
     target[field] = value
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(body))
-    with pytest.raises(SynthSpecError) as excinfo:
+    with pytest.raises(SynthSpecError, match=message) as excinfo:
         load_synth_spec(path)
     assert excinfo.value.exit_code == 2
 

@@ -196,6 +196,26 @@ class TestResolveQuery:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("what", ["augmented", "generic"])
+    def test_bundled_directions_naming_an_unknown_value_rejected(self, what):
+        reference, target, rows, cfg = small_setup()
+        record = {
+            "id": "typo",
+            "vector": rows[0].vector.tolist(),
+            "augmented": {v: x.tolist() for v, x in rows[0].augmented.items()},
+            "generic": {v: x.tolist() for v, x in rows[0].generic.items()},
+        }
+        record[what]["femal"] = record[what]["female"]
+        typo = parse_query_row(record)
+        with pytest.raises(MetadataError, match=rf"{what} vectors name unknown values \['femal'\]"):
+            resolve_query(typo, GENDER, build_index(reference), cfg)
+        entries = evaluate([typo, rows[0]], reference, target, cfg)["queries"]
+        assert entries[0] == {
+            "id": "typo",
+            "error": f"MetadataError: query 'typo' {what} vectors name unknown values ['femal']",
+        }
+        assert "modes" in entries[1]
+
     def test_text_without_endpoint_rejected(self):
         reference, _, _, cfg = small_setup()
         index = build_index(reference)
