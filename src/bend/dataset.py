@@ -509,7 +509,14 @@ class SynthSpec:
         if self.dim < 2 + len(classes):
             raise SynthSpecError("dim too small for orthogonal class directions")
         bias_by = {(c.class_name, c.value): c.bias for c in self.cells}
+        ids = set()
         for query in self.queries:
+            # load_queries refuses what bend synth would otherwise write.
+            if not query.query_id:
+                raise SynthSpecError("spec query 'id' must not be empty")
+            if query.query_id in ids:
+                raise SynthSpecError(f"duplicate query id {query.query_id!r}")
+            ids.add(query.query_id)
             if (query.class_name, query.align_value) not in bias_by:
                 raise SynthSpecError(
                     f"query {query.query_id!r} references unknown cell "

@@ -39,6 +39,7 @@ from .reference_index import (
     RelevantSubsets,
     Scores,
     build_index,
+    checked_query,
     retrieve_top_k,  # the CLI's retrieve verb calls it through this module
     score_block,
     top_n_by_attribute,
@@ -47,7 +48,7 @@ from .reporting import SCHEMA, summary_stats
 from .subspace import build_attribute_matrix, orthogonalize
 from .vectors import Vector, normalize, number_vector
 
-# Finals that ``evaluate`` screens with one GEMM: 3.2 MB of float32 at 50k rows.
+# Finals whose screens ``evaluate`` fills as one block: 6.4 MB of float64 at 50k rows.
 SCORE_BLOCK_COLUMNS = 16
 
 
@@ -267,34 +268,69 @@ def resolve_query(
     )
 
 
+def run_block_reports(
+    block: Sequence[ResolvedQuery],
+    index: ReferenceIndex,
+    space: AttributeSpace,
+    cfg: RunConfig,
+) -> list[tuple[dict[str, DebiasReport], RelevantSubsets | None] | BendError]:
+    """Debias a block of resolved queries under every configured mode: per
+    query its reports and relevant subsets, or the ``BendError`` it raised.
+    Every step-1 query ranks the reference in one ``top_n_by_attribute``; one
+    that fails before it (its attribute matrix, step 1 or its width) is left
+    out of it, so the others do not see its error."""
+    out: list = [None] * len(block)
+    pending, rankings = [], []
+    for i, resolved in enumerate(block):
+        if resolved.skipped:
+            out[i] = {
+                mode: DebiasReport(
+                    baseline=resolved.embedding,
+                    step1=None,
+                    final=resolved.embedding,
+                    lam=None,
+                    residuals=(),
+                    dropped_columns=0,
+                    distance_gap={"baseline": None, "step1": None, "final": None},
+                )
+                for mode in cfg.modes
+            }, None
+            continue
+        try:
+            matrix = build_attribute_matrix(resolved.embedding, resolved.augmented, resolved.generic)
+            # Step 2's relevant references are the ones closest to the step-1 query.
+            rankings.append(checked_query(index.table, orthogonalize(resolved.embedding, matrix)))
+            pending.append((i, matrix))
+        except BendError as exc:
+            out[i] = exc
+    if not pending:
+        return out
+    try:
+        ranked = top_n_by_attribute(index, rankings, space, cfg.n)
+    except BendError as exc:  # the reference's, so every query's
+        for i, _ in pending:
+            out[i] = exc
+        return out
+    for (i, matrix), subsets in zip(pending, ranked):
+        try:
+            embedding = block[i].embedding
+            out[i] = {mode: debias(embedding, matrix, subsets, mode) for mode in cfg.modes}, subsets
+        except BendError as exc:
+            out[i] = exc
+    return out
+
+
 def run_query_reports(
     resolved: ResolvedQuery,
     index: ReferenceIndex,
     space: AttributeSpace,
     cfg: RunConfig,
 ) -> tuple[dict[str, DebiasReport], RelevantSubsets | None]:
-    """Debias one resolved query under every configured mode."""
-    if resolved.skipped:
-        passthrough = {
-            mode: DebiasReport(
-                baseline=resolved.embedding,
-                step1=None,
-                final=resolved.embedding,
-                lam=None,
-                residuals=(),
-                dropped_columns=0,
-                distance_gap={"baseline": None, "step1": None, "final": None},
-            )
-            for mode in cfg.modes
-        }
-        return passthrough, None
-    matrix = build_attribute_matrix(resolved.embedding, resolved.augmented, resolved.generic)
-    # Step 2's relevant references are the ones closest to the step-1 query.
-    ranking = orthogonalize(resolved.embedding, matrix)
-    subsets = top_n_by_attribute(index, ranking, space, cfg.n)
-    return {
-        mode: debias(resolved.embedding, matrix, subsets, mode) for mode in cfg.modes
-    }, subsets
+    """Debias one resolved query under every configured mode: a block of one."""
+    result = run_block_reports([resolved], index, space, cfg)[0]
+    if isinstance(result, BendError):
+        raise result
+    return result
 
 
 def resolve_space(
@@ -343,21 +379,25 @@ def _fold_layout(folds: Sequence[np.ndarray], codes: np.ndarray, values: int) ->
     )
 
 
-def _auc_reads(layout: _FoldLayout, positive: np.ndarray) -> list[list[tuple[slice, np.ndarray]]]:
-    """Per fold, the groups its worst-group AUC reads, each with its positive
-    mask; none where that AUC is undefined (a group of one class)."""
+def _auc_reads(layout: _FoldLayout, positive: np.ndarray) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Per fold, the groups its worst-group AUC reads, each as its hit rows and
+    its miss rows; none where that AUC is undefined (a group of one class)."""
     reads = []
     for groups in layout.groups:
-        masks = [positive[layout.rows[g]] for g in groups]
-        defined = all(0 < mask.sum() < mask.size for mask in masks)
-        reads.append(list(zip(groups, masks)) if defined else [])
+        sides = []
+        for g in groups:
+            rows = layout.rows[g]
+            hit = positive[rows]
+            sides.append((rows[hit], rows[~hit]))
+        defined = all(hits.size and misses.size for hits, misses in sides)
+        reads.append(sides if defined else [])
     return reads
 
 
 def _fold_metrics(layout: _FoldLayout, reads: list, scores: Scores, k: int) -> tuple[list, list]:
     """Each fold's top-k rows and worst-group AUC (None where undefined)."""
     return scores.fold_tops(layout.fold_of, len(layout.groups), k), [
-        min((scores.group_auc(layout.rows[g], positive) for g, positive in groups), default=None)
+        min((scores.group_auc(hits, misses) for hits, misses in groups), default=None)
         for groups in reads
     ]
 
@@ -429,13 +469,15 @@ def evaluate(
 ) -> dict:
     """Run every configured mode over every query and aggregate fold metrics.
 
-    Each query is debiased on its own, as ``bend debias`` does it
-    (``resolve_query`` then ``run_query_reports``); per-query failures become
-    error entries rather than aborting the run. Queries are scored in blocks
-    of at most ``SCORE_BLOCK_COLUMNS`` finals, each block on its own: one
-    float32 GEMM screens the target for the block's finals, and the rows the
-    screen cannot place are rescored (``Scores``). The returned dict is ready
-    for deterministic serialization.
+    Queries run in blocks of at most ``SCORE_BLOCK_COLUMNS`` finals, each
+    block on its own. A block's queries are resolved one by one
+    (``resolve_query``), then debiased together by ``run_block_reports``, the
+    path ``bend debias`` runs as a block of one: one ``score_block`` screens
+    the reference for all of their step-1 queries. A second screens the target
+    for the block's finals, and the rows the screens cannot place are rescored
+    (``Scores``). Per-query failures become error entries rather than
+    aborting the run. The returned dict is ready for deterministic
+    serialization.
     """
     if reference.dim != target.dim:
         raise DimensionMismatch(
@@ -456,14 +498,6 @@ def evaluate(
 
     def failed(row: QueryRow, exc: BendError) -> dict:
         return {"id": row.id, "error": f"{type(exc).__name__}: {exc}"}
-
-    def debiased(row: QueryRow) -> _Debiased | dict:
-        """The query debiased in every mode, or its error entry."""
-        try:
-            resolved = resolve_query(row, space, index, cfg)
-            return _Debiased(resolved, *run_query_reports(resolved, index, space, cfg))
-        except BendError as exc:
-            return failed(row, exc)
 
     def scored(done: _Debiased, columns: Sequence[Scores]) -> dict:
         """The entry of a debiased query, from each mode's final's scores."""
@@ -490,18 +524,36 @@ def evaluate(
         except BendError as exc:
             return failed(row, exc)
 
-    entries = []
-    per_block = max(1, SCORE_BLOCK_COLUMNS // len(cfg.modes))
-    for start in range(0, len(queries), per_block):
-        block = [debiased(row) for row in queries[start : start + per_block]]
+    def block_entries(rows: Sequence[QueryRow]) -> list[dict]:
+        """The entries of a block of queries; its screens die when it returns."""
+        block: list = []  # per row its ResolvedQuery, then its _Debiased, or its error entry
+        for row in rows:
+            try:
+                block.append(resolve_query(row, space, index, cfg))
+            except BendError as exc:
+                block.append(failed(row, exc))
+        results = iter(run_block_reports(
+            [r for r in block if isinstance(r, ResolvedQuery)], index, space, cfg
+        ))
+        for i, r in enumerate(block):
+            if isinstance(r, ResolvedQuery):
+                result = next(results)
+                block[i] = failed(r.row, result) if isinstance(result, BendError) else _Debiased(r, *result)
         finals = [
             d.reports[mode].final for d in block if isinstance(d, _Debiased) for mode in cfg.modes
         ]
         columns = iter(score_block(target, finals))
-        entries.extend(
+        return [
             d if isinstance(d, dict) else scored(d, [next(columns) for _ in cfg.modes])
             for d in block
-        )
+        ]
+
+    per_block = max(1, SCORE_BLOCK_COLUMNS // len(cfg.modes))
+    entries = [
+        entry
+        for start in range(0, len(queries), per_block)
+        for entry in block_entries(queries[start : start + per_block])
+    ]
 
     used = [entry for entry in entries if "error" not in entry and not entry["skipped"]]
     aggregates = {

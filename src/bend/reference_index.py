@@ -108,19 +108,16 @@ class Scores:
     """One unit query's scores over a table's rows (built by ``score_block``),
     and every rule that ranks by them. A score is the float64
     ``np.add.reduce(unit_row * query)``, numpy's fixed-order pairwise sum. The
-    ``screen``, each row's float32 BLAS product over its norm, lies within
-    ``eps`` of it (is it, above ``SCREEN_NORMS``), so rows whose screens are
-    over ``band`` apart (2eps, plus 16u for rounding in comparisons) order as
-    their screens do; only the others are rescored."""
+    ``screen`` (float64, one per row, kept as given) is each row's float32 BLAS
+    product over its norm, and lies within ``eps`` of the score (is it, above
+    ``SCREEN_NORMS``), so rows whose screens are over ``band`` apart (2eps, plus
+    16u for rounding in comparisons) order as their screens do; only the others
+    are rescored."""
 
     def __init__(self, table: LabeledEmbeddingTable, query: Vector, screen: np.ndarray):
-        self.table, self.query = table, query
-        self.screen = screen / table.norms
+        self.table, self.query, self.screen = table, query, screen
         self.eps = screen_error_bound(table.dim)
         self.band = 2 * self.eps + 16 * np.finfo(np.float64).eps / 2
-        if table.norms.max() > SCREEN_NORMS[1]:  # rows the bound does not cover
-            rows = np.flatnonzero(table.norms > SCREEN_NORMS[1])
-            self.screen[rows] = self.exact(rows)
 
     def exact(self, rows: np.ndarray) -> np.ndarray:
         """The scores of ``rows``, rescored a block of rows at a time."""
@@ -175,21 +172,20 @@ class Scores:
                 return [self.best(pool, k) for pool in pools]
             limit *= 2
 
-    def group_auc(self, rows: np.ndarray, positive: np.ndarray) -> float:
-        """The AUC of ``rows`` (``positive`` marks the hits) off their screens, with
-        every row of a positive-negative pair within ``band`` rescored: only such
-        a pair can order differently, so the statistic is the scores' own."""
-        screen = self.screen[rows]
-        hits, misses = np.sort(screen[positive]), np.sort(screen[~positive])
-        if _within(hits, misses, self.band).any():
-            hit_rows, miss_rows = np.flatnonzero(positive), np.flatnonzero(~positive)
-            near = hit_rows[_within(screen[hit_rows], misses, self.band)]
-            # A negative near any positive is near one of ``near``.
-            close = _within(screen[miss_rows], np.sort(screen[near]), self.band)
-            near = np.concatenate([near, miss_rows[close]])
-            screen[near] = self.exact(rows[near])
-            hits, misses = np.sort(screen[positive]), np.sort(screen[~positive])
-        return sorted_group_auc(hits, misses)
+    def group_auc(self, hit_rows: np.ndarray, miss_rows: np.ndarray) -> float:
+        """The AUC of a group's hit rows against its miss rows off their screens,
+        with every row of a hit-miss pair within ``band`` rescored: only such a
+        pair can order differently, so the statistic is the scores' own."""
+        hits, misses = self.screen[hit_rows], self.screen[miss_rows]
+        ascending = np.sort(misses)
+        near = _within(hits, ascending, self.band)
+        if near.any():
+            # A miss near any hit is near one of ``near``.
+            close = _within(misses, np.sort(hits[near]), self.band)
+            hits[near] = self.exact(hit_rows[near])
+            misses[close] = self.exact(miss_rows[close])
+            ascending = np.sort(misses)
+        return sorted_group_auc(np.sort(hits), ascending)
 
 
 def _within(values: np.ndarray, ascending: np.ndarray, band: float) -> np.ndarray:
@@ -198,18 +194,43 @@ def _within(values: np.ndarray, ascending: np.ndarray, band: float) -> np.ndarra
     return below < np.searchsorted(ascending, values + band, "right")
 
 
+def checked_query(table: LabeledEmbeddingTable, query) -> Vector:
+    """``query`` as a vector; one of another width than the table's raises
+    ``DimensionMismatch``."""
+    query = as_vector(query)
+    if query.shape[0] != table.dim:
+        raise DimensionMismatch(f"query has dimension {query.shape[0]}, table {table.dim}")
+    return query
+
+
 def score_block(table: LabeledEmbeddingTable, queries: Sequence) -> list[Scores]:
-    """Each query's ``Scores``, over the query normalized, all screened by one
-    float32 product (numpy runs a block of one as a GEMV). A query of another
-    width than the table's raises ``DimensionMismatch``."""
-    units = []
-    for query in map(as_vector, queries):
-        if query.shape[0] != table.dim:
-            raise DimensionMismatch(f"query has dimension {query.shape[0]}, table {table.dim}")
-        units.append(normalize(query))
+    """Each query's ``Scores``, over the query normalized (``checked_query``
+    first). The screens are one (queries, rows) float64 block, filled a tile
+    of rows at a time: the float32 product of the tile with every query,
+    divided by those rows' norms into the tile's columns. A block of one is
+    one tile, a GEMV over the whole table. Rows above ``SCREEN_NORMS`` are
+    rescored."""
+    units = [normalize(checked_query(table, query)) for query in queries]
+    if not units:
+        return []
+    block = np.stack(units).astype(np.float32)
+    screens = np.empty((len(units), table.count))
+    # A GEMM packs its tile of rows into BLAS's buffer, whose pages stay
+    # resident: an eighth of a block (1 MiB of rows at d=512) keeps that small,
+    # at no cost in speed. A GEMV packs nothing and runs fastest as one call
+    # over the whole table, whose float32 product is then a single row.
+    step = table.count if len(units) == 1 else BLOCK_ROWS // 8
     with np.errstate(over="ignore", invalid="ignore"):  # rows above SCREEN_NORMS
-        screens = np.stack(units).astype(np.float32) @ table.rows.T if units else ()
-    return [Scores(table, unit, screen) for unit, screen in zip(units, screens)]
+        for start in range(0, table.count, step):
+            stop = min(start + step, table.count)
+            tile = table.rows[start:stop] @ block.T
+            np.divide(tile.T, table.norms[start:stop], out=screens[:, start:stop])
+    scores = [Scores(table, unit, screen) for unit, screen in zip(units, screens)]
+    if table.norms.max() > SCREEN_NORMS[1]:  # rows the bound does not cover
+        rows = np.flatnonzero(table.norms > SCREEN_NORMS[1])
+        for one in scores:
+            one.screen[rows] = one.exact(rows)
+    return scores
 
 
 def relevant_subsets(partition: dict[str, np.ndarray], scores: Scores, n: int) -> RelevantSubsets:
@@ -226,16 +247,18 @@ def relevant_subsets(partition: dict[str, np.ndarray], scores: Scores, n: int) -
 
 
 def top_n_by_attribute(
-    index: ReferenceIndex, query, space: AttributeSpace, n: int
-) -> RelevantSubsets:
-    """The n records per attribute value most similar to the query.
+    index: ReferenceIndex, queries: Sequence, space: AttributeSpace, n: int
+) -> list[RelevantSubsets]:
+    """Per query, the n records per attribute value most similar to it, off
+    one ``score_block`` over the reference for all of them.
 
     Groups smaller than n are used whole. Raises ``EmptyGroup`` when a value
     has no records at all, since equalization then has nothing to balance.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
-    return relevant_subsets(index.partition(space.name), score_block(index.table, [query])[0], n)
+    partition = index.partition(space.name)
+    return [relevant_subsets(partition, scores, n) for scores in score_block(index.table, queries)]
 
 
 def retrieve_top_k(table: LabeledEmbeddingTable, query, k: int) -> list[Retrieved]:

@@ -134,7 +134,7 @@ def test_criterion_4_orthogonalization_alone_is_not_fair():
         )
         matrix = build_attribute_matrix(query, augmented, generic)
         z1 = orthogonalize(query, matrix)
-        subsets = top_n_by_attribute(build_index(table), z1, GENDER, 20)
+        subsets = top_n_by_attribute(build_index(table), [z1], GENDER, 20)[0]
         step1 = debias(query, matrix, subsets, "step1-only")
         full = debias(query, matrix, subsets, "full")
         assert step1.distance_gap["final"] > 1e-3

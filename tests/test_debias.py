@@ -43,7 +43,7 @@ def pipeline_pieces(fixture):
     matrix = build_attribute_matrix(query, augmented, generic)
     index = build_index(table)
     z1 = orthogonalize(query, matrix)
-    subsets = top_n_by_attribute(index, z1, GENDER, 20)
+    subsets = top_n_by_attribute(index, [z1], GENDER, 20)[0]
     return query, matrix, subsets
 
 

@@ -8,9 +8,9 @@ rows its metrics read whose screens sit within a band (twice the bound) of a
 top-k cut or of a row of the other label; it must give the brute-force
 metrics whatever the screen says within the bound, and must not rescore rows
 further apart.
-``evaluate`` debiases each query as ``resolve_query`` and
-``run_query_reports`` do, and screens each block's finals with one GEMM over
-the target; its report must not change when the bound covers every row so
+``evaluate`` debiases each block of queries as ``resolve_query`` and
+``run_query_reports`` do, screening the reference for the block's step-1
+queries at once and the target for its finals at once; its report must not change when the bound covers every row so
 that every row is rescored, on continuous and on tie-heavy tables. An ``evaluate`` entry must not depend on which other queries
 or modes ran, and its counts and metrics must survive a rotation of every
 vector.
@@ -244,8 +244,7 @@ def pair_metrics(monkeypatch, rows, positive=PAIR_POSITIVE, k=2):
     screen[rows[0]] -= scores.eps
     screen[rows[1]] += scores.eps
     recorded = rescored(monkeypatch)
-    # A screen is the product before the division by the norm.
-    worst = Scores(table, scores.query, screen * table.norms)
+    worst = Scores(table, scores.query, screen)
     got = fold_metrics(table, PAIR_FOLDS, positive, worst, k)
     return got, brute_fold_metrics(table, PAIR_FOLDS, positive, exact, k), set(recorded)
 
@@ -292,8 +291,8 @@ def test_an_auc_pair_within_twice_the_bound_is_rescored_and_one_outside_is_not(m
     # Rows 2-5 are not rescored, so the AUC reads their screens.
     assert np.all(np.abs(screen - exact)[2:] <= eps)
     recorded = rescored(monkeypatch)
-    rows = np.arange(table.count)
-    auc = Scores(table, scores.query, screen * table.norms).group_auc(rows, positive)
+    hits, misses = np.flatnonzero(positive), np.flatnonzero(~positive)
+    auc = Scores(table, scores.query, screen).group_auc(hits, misses)
     assert set(recorded) == {0, 1, 4, 5}
     assert auc == brute_force_auc(list(zip(exact.tolist(), positive.tolist())))
 
@@ -358,8 +357,8 @@ def assert_entries_stand_alone(queries, reference, target, cfg):
 
 
 def count_screened_columns(monkeypatch):
-    """Record, for each GEMM ``evaluate`` runs over the target, its table's
-    prefix and width."""
+    """Record, for each screen ``evaluate`` runs over the target or (through
+    ``top_n_by_attribute``) the reference, its table's prefix and width."""
     calls = []
 
     def counted(table, queries):
@@ -367,6 +366,7 @@ def count_screened_columns(monkeypatch):
         return score_block(table, queries)
 
     monkeypatch.setattr(pipeline, "score_block", counted)
+    monkeypatch.setattr(reference_index, "score_block", counted)
     return calls
 
 
@@ -392,8 +392,9 @@ def test_a_block_of_failed_queries_screens_no_final(monkeypatch):
     cfg = RunConfig(attribute="gender", n=8, k=15, seed=3, fold_count=3)
     entries = evaluate(queries, reference, target, cfg)["queries"]
     assert ["error" in entry for entry in entries] == [True] * 4 + [False] * 2
-    # The first block screens no final; the second screens all eight.
-    assert calls == [("tgt", 0), ("tgt", 8)]
+    # The first block screens no final and no step-1 query; the second screens
+    # the reference for its two step-1 queries at once, then all eight finals.
+    assert calls == [("tgt", 0), ("ref", 2), ("tgt", 8)]
 
 
 def duplicated(table):

@@ -292,6 +292,24 @@ def test_spec_strings_are_checked_not_coerced(tmp_path, where, field, value):
     assert_spec_rejected(tmp_path, where, field, value, f"spec {where} '{field}' must be a string")
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        pytest.param(["q", "q"], "duplicate query id 'q'", id="repeated"),
+        pytest.param([""], "spec query 'id' must not be empty", id="empty"),
+    ],
+)
+def test_spec_query_ids_are_unique_and_non_empty(tmp_path, ids, message):
+    # Either spec would write a queries file that load_queries refuses.
+    body = spec_body()
+    body["queries"] = [{**body["queries"][0], "id": query_id} for query_id in ids]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(body))
+    with pytest.raises(SynthSpecError, match=f"^{message}$") as excinfo:
+        load_synth_spec(path)
+    assert excinfo.value.exit_code == 2
+
+
 def assert_spec_rejected(tmp_path, where, field, value, message=None):
     body = spec_body()
     target = {"spec": body, "cell": body["cells"][0], "query": body["queries"][0]}[where]

@@ -169,11 +169,11 @@ def test_top_n_by_attribute_matches_sorted(table, query, n):
     }
     if not all(members.values()):
         try:
-            top_n_by_attribute(index, query, GENDER, n)
+            top_n_by_attribute(index, [query], GENDER, n)[0]
         except EmptyGroup:
             return
         raise AssertionError("a value without records must raise EmptyGroup")
-    subsets = top_n_by_attribute(index, query, GENDER, n)
+    subsets = top_n_by_attribute(index, [query], GENDER, n)[0]
     for value in GENDER.values:
         expected = reference_top(table, scores, members[value], n)
         assert list(subsets.indices[value]) == expected
@@ -204,7 +204,7 @@ def test_evaluate_subsets_match_top_n_by_attribute(table, queries, n, data):
         evaluate(rows, table, table, cfg)
     index = build_index(table)
     for query_emb, matrix, got in seen:
-        want = top_n_by_attribute(index, orthogonalize(query_emb, matrix), GENDER, n)
+        want = top_n_by_attribute(index, [orthogonalize(query_emb, matrix)], GENDER, n)[0]
         assert got.indices == want.indices
         for value in GENDER.values:
             assert got.means[value].tobytes() == want.means[value].tobytes()

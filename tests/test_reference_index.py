@@ -159,8 +159,7 @@ class TestRelevantSubsetsBand:
         exact = scores.exact(np.arange(table.count))
         worst = exact + sign * scores.eps * (-1.0) ** np.arange(table.count)
         partition = build_index(table).partition("gender")
-        # A screen is the product before the division by the norm.
-        subsets = relevant_subsets(partition, Scores(table, scores.query, worst * table.norms), n)
+        subsets = relevant_subsets(partition, Scores(table, scores.query, worst), n)
         for value, members in partition.items():
             ranked = sorted(members.tolist(), key=lambda i: (-exact[i], table.ids[i]))
             assert list(subsets.indices[value]) == ranked[:n]
@@ -170,12 +169,12 @@ class TestRelevantSubsetsBand:
 class TestTopNByAttribute:
     def test_ordering(self, four_record_index):
         query = np.array([1.0, 0.0])
-        subsets = top_n_by_attribute(four_record_index, query, GENDER, 1)
+        subsets = top_n_by_attribute(four_record_index, [query], GENDER, 1)[0]
         assert subsets.indices == {"male": (0,), "female": (3,)}
         assert subsets.n_used == {"male": 1, "female": 1}
 
     def test_clamps_to_group_size(self, four_record_index):
-        subsets = top_n_by_attribute(four_record_index, np.array([1.0, 0.0]), GENDER, 100)
+        subsets = top_n_by_attribute(four_record_index, [np.array([1.0, 0.0])], GENDER, 100)[0]
         assert subsets.n_used == {"male": 2, "female": 2}
 
     def test_tie_breaks_by_ascending_id(self):
@@ -185,18 +184,18 @@ class TestTopNByAttribute:
             ids=["zz", "aa", "bb", "cc"],
         )
         index = build_index(table)
-        subsets = top_n_by_attribute(index, np.array([1.0, 0.0]), GENDER, 1)
+        subsets = top_n_by_attribute(index, [np.array([1.0, 0.0])], GENDER, 1)[0]
         assert index.table.ids[subsets.indices["male"][0]] == "aa"
 
     def test_empty_group_rejected(self):
         table = table_from_rows([[1.0, 0.0], [0.9, 0.1]], ["male", "male"])
         index = build_index(table)
         with pytest.raises(EmptyGroup):
-            top_n_by_attribute(index, np.array([1.0, 0.0]), GENDER, 1)
+            top_n_by_attribute(index, [np.array([1.0, 0.0])], GENDER, 1)[0]
 
     def test_means_cover_exactly_the_selected_records(self, four_record_index):
         query = normalize([0.7, 0.3])
-        subsets = top_n_by_attribute(four_record_index, query, GENDER, 2)
+        subsets = top_n_by_attribute(four_record_index, [query], GENDER, 2)[0]
         for value, idx in subsets.indices.items():
             manual = four_record_index.table.unit_rows(list(idx)).mean(axis=0)
             assert np.allclose(subsets.means[value], manual)
@@ -216,7 +215,7 @@ class TestTopNByAttribute:
         index = build_index(table)
         for _ in range(20):
             query = normalize(rng.standard_normal(8))
-            subsets = top_n_by_attribute(index, query, GENDER, int(rng.integers(1, 80)))
+            subsets = top_n_by_attribute(index, [query], GENDER, int(rng.integers(1, 80)))[0]
             all_indices = [i for ix in subsets.indices.values() for i in ix]
             assert len(all_indices) == len(set(all_indices))
             assert len(all_indices) <= table.count
@@ -242,7 +241,7 @@ class TestTopNByAttribute:
         for _ in range(100):
             query = normalize(rng.standard_normal(12))
             n = int(rng.integers(1, 40))
-            subsets = top_n_by_attribute(index, query, GENDER, n)
+            subsets = top_n_by_attribute(index, [query], GENDER, n)[0]
             sims = score_block(table, [query])[0].exact(np.arange(table.count))
             for value in GENDER.values:
                 members = np.flatnonzero(labels == value)
@@ -290,7 +289,7 @@ class TestRetrieveTopK:
     "rank",
     [
         lambda table, query: retrieve_top_k(table, query, 1),
-        lambda table, query: top_n_by_attribute(build_index(table), query, GENDER, 1),
+        lambda table, query: top_n_by_attribute(build_index(table), [query], GENDER, 1)[0],
     ],
     ids=["retrieve_top_k", "top_n_by_attribute"],
 )
