@@ -11,19 +11,23 @@ run reads the input generator's peak. Every timed run uses seed 1 and the
 first when i is even and the change first when it is odd. For every gated
 end-to-end metric of that file it prints each side's median [Q1, Q3], the
 pairs the change won, and whether the gap between the medians exceeds the
-parent's interquartile range. ``BENCH_<label>.json`` holds the environment
-line of each side and every run's values.
+parent's interquartile range. Each timed run's line ends with the CPU seconds
+its processes used over its wall seconds, which shows a run starved by other
+load on the host. ``BENCH_<label>.json`` holds the environment line of each
+side and every run's values, CPU and wall seconds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,17 +104,24 @@ def export(rev: str, into: Path, cache: Path) -> None:
 
 
 def run(tree: Path, workload: str, seconds: float) -> dict:
+    """One perfbench run: its correctness, environment line and metrics, and
+    the CPU seconds its processes used over its wall seconds. A ratio far
+    under one on a busy host means the run waited for CPU it did not get."""
+    before, started = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
+    wall = time.perf_counter() - started
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{tree.name}: perfbench exited {done.returncode}\n{done.stderr[-2000:]}")
     result = json.loads(lines[-1])
     env = next((json.loads(line.split(" ", 1)[1]) for line in lines if line.startswith("environment ")), None)
-    return {"correct": result["correct"], "environment": env,
+    return {"correct": result["correct"], "environment": env, "cpu_s": cpu, "wall_s": wall,
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
@@ -141,9 +152,11 @@ def main(argv=None) -> int:
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
             result = run(trees[side], args.workload, seconds)
-            runs.append({"pair": pair, "side": side, "correct": result["correct"], "metrics": result["metrics"]})
+            runs.append({"pair": pair, "side": side, "correct": result["correct"], "cpu_s": result["cpu_s"],
+                         "wall_s": result["wall_s"], "metrics": result["metrics"]})
             print(f"pair {pair} {side:<6} " + " ".join(
-                f"{m['name']}={result['metrics'][m['name']]:.4g}" for m in metrics), flush=True)
+                f"{m['name']}={result['metrics'][m['name']]:.4g}" for m in metrics)
+                + f" cpu/wall={result['cpu_s'] / result['wall_s']:.2f}", flush=True)
     rows = summarize(runs, metrics)
     print("\n".join(format_table(rows)))
     out = ROOT / f"BENCH_{label}.json"

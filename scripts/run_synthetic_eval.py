@@ -61,7 +61,7 @@ def build_spec(args) -> SynthSpec:
     )
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="runs/synthetic", type=Path)
     parser.add_argument("--records", type=int, default=4000,
@@ -76,7 +76,7 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=100)
     parser.add_argument("--k", type=int, default=500)
     parser.add_argument("--folds", type=int, default=5)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     try:
         return run(args)
     except BendError as exc:

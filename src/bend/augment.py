@@ -68,8 +68,9 @@ class AttributeSpace:
 def attribute_space(name, values, insertion_terms=None, generic_prompts=None) -> AttributeSpace:
     """Build an AttributeSpace with sensible defaults.
 
-    Insertion terms default to the value labels themselves; generic prompts
-    default to "A photo of a {value} person".
+    An absent (None) map takes its default: insertion terms are the value
+    labels themselves, generic prompts "A photo of a {value} person". An empty
+    map is no map of every value, so it raises ``ConfigError``.
     """
     if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
         raise ConfigError(f"attribute {name!r}: values must be a list of strings")
@@ -78,11 +79,11 @@ def attribute_space(name, values, insertion_terms=None, generic_prompts=None) ->
         if mapping is not None and not isinstance(mapping, dict):
             raise ConfigError(f"attribute {name!r}: {what} must map values to text")
     values = tuple(values)
-    terms = dict(insertion_terms) if insertion_terms else {v: v for v in values}
+    terms = {v: v for v in values} if insertion_terms is None else dict(insertion_terms)
     prompts = (
-        dict(generic_prompts)
-        if generic_prompts
-        else {v: f"A photo of a {v} person" for v in values}
+        {v: f"A photo of a {v} person" for v in values}
+        if generic_prompts is None
+        else dict(generic_prompts)
     )
     return AttributeSpace(name=name, values=values, insertion_terms=terms,
                           generic_prompts=prompts)

@@ -269,20 +269,23 @@ def resolve_query(
 
 
 def run_block_reports(
-    block: Sequence[ResolvedQuery],
+    block: Sequence[ResolvedQuery | BendError],
     index: ReferenceIndex,
     space: AttributeSpace,
     cfg: RunConfig,
 ) -> list[tuple[dict[str, DebiasReport], RelevantSubsets | None] | BendError]:
     """Debias a block of resolved queries under every configured mode: per
-    query its reports and relevant subsets, or the ``BendError`` it raised.
+    query its reports and relevant subsets, or the ``BendError`` it raised. A
+    query given as the error its resolution raised keeps that error.
     Every step-1 query ranks the reference in one ``top_n_by_attribute``; one
     that fails before it (its attribute matrix, step 1 or its width) is left
     out of it, so the others do not see its error."""
     out: list = [None] * len(block)
     pending, rankings = [], []
     for i, resolved in enumerate(block):
-        if resolved.skipped:
+        if isinstance(resolved, BendError):
+            out[i] = resolved
+        elif resolved.skipped:
             out[i] = {
                 mode: DebiasReport(
                     baseline=resolved.embedding,
@@ -295,14 +298,14 @@ def run_block_reports(
                 )
                 for mode in cfg.modes
             }, None
-            continue
-        try:
-            matrix = build_attribute_matrix(resolved.embedding, resolved.augmented, resolved.generic)
-            # Step 2's relevant references are the ones closest to the step-1 query.
-            rankings.append(checked_query(index.table, orthogonalize(resolved.embedding, matrix)))
-            pending.append((i, matrix))
-        except BendError as exc:
-            out[i] = exc
+        else:
+            try:
+                matrix = build_attribute_matrix(resolved.embedding, resolved.augmented, resolved.generic)
+                # Step 2's relevant references are the ones closest to the step-1 query.
+                rankings.append(checked_query(index.table, orthogonalize(resolved.embedding, matrix)))
+                pending.append((i, matrix))
+            except BendError as exc:
+                out[i] = exc
     if not pending:
         return out
     try:
@@ -402,15 +405,6 @@ def _fold_metrics(layout: _FoldLayout, reads: list, scores: Scores, k: int) -> t
     ]
 
 
-@dataclass(frozen=True)
-class _Debiased:
-    """A query debiased in every configured mode."""
-
-    resolved: ResolvedQuery
-    reports: dict[str, DebiasReport]
-    subsets: RelevantSubsets | None
-
-
 def _fold_summary(folds: Sequence[dict]) -> dict:
     """Summary stats of the folds' KL, MaxSkew and defined AUCs; None where no
     fold has a value."""
@@ -499,9 +493,9 @@ def evaluate(
     def failed(row: QueryRow, exc: BendError) -> dict:
         return {"id": row.id, "error": f"{type(exc).__name__}: {exc}"}
 
-    def scored(done: _Debiased, columns: Sequence[Scores]) -> dict:
+    def scored(resolved: ResolvedQuery, reports: dict[str, DebiasReport],
+               subsets: RelevantSubsets | None, columns: Sequence[Scores]) -> dict:
         """The entry of a debiased query, from each mode's final's scores."""
-        resolved, subsets = done.resolved, done.subsets
         row = resolved.row
         # No class, or one the target lacks, matches no row: every fold AUC is None.
         code = -1 if row.class_label is None else class_codes.get(row.class_label, -1)
@@ -515,7 +509,7 @@ def evaluate(
                 "n_used": subsets.n_used if subsets is not None else None,
                 "modes": {
                     mode: _mode_entry(
-                        done.reports[mode], *_fold_metrics(layout, reads, scores, cfg.k),
+                        reports[mode], *_fold_metrics(layout, reads, scores, cfg.k),
                         layout.pool_sizes, target, space, prior, cfg,
                     )
                     for mode, scores in zip(cfg.modes, columns)
@@ -526,26 +520,20 @@ def evaluate(
 
     def block_entries(rows: Sequence[QueryRow]) -> list[dict]:
         """The entries of a block of queries; its screens die when it returns."""
-        block: list = []  # per row its ResolvedQuery, then its _Debiased, or its error entry
+        block: list = []  # per row its ResolvedQuery, or the error resolving raised
         for row in rows:
             try:
                 block.append(resolve_query(row, space, index, cfg))
             except BendError as exc:
-                block.append(failed(row, exc))
-        results = iter(run_block_reports(
-            [r for r in block if isinstance(r, ResolvedQuery)], index, space, cfg
-        ))
-        for i, r in enumerate(block):
-            if isinstance(r, ResolvedQuery):
-                result = next(results)
-                block[i] = failed(r.row, result) if isinstance(result, BendError) else _Debiased(r, *result)
-        finals = [
-            d.reports[mode].final for d in block if isinstance(d, _Debiased) for mode in cfg.modes
-        ]
+                block.append(exc)
+        results = run_block_reports(block, index, space, cfg)
+        done = [r for r in results if not isinstance(r, BendError)]
+        finals = [reports[mode].final for reports, _ in done for mode in cfg.modes]
         columns = iter(score_block(target, finals))
         return [
-            d if isinstance(d, dict) else scored(d, [next(columns) for _ in cfg.modes])
-            for d in block
+            failed(row, result) if isinstance(result, BendError)
+            else scored(resolved, *result, [next(columns) for _ in cfg.modes])
+            for row, resolved, result in zip(rows, block, results)
         ]
 
     per_block = max(1, SCORE_BLOCK_COLUMNS // len(cfg.modes))

@@ -107,3 +107,20 @@ def test_an_export_holds_the_revisions_files_and_links_the_shared_cache(tmp_path
         bench_pairs.export("HEAD", tree, cache)
         assert (tree / "pyproject.toml").is_file() and (tree / "src" / "bend").is_dir()
         assert (tree / ".bench_cache").resolve() == cache.resolve()
+
+
+def test_a_run_keeps_its_cpu_and_wall_seconds(tmp_path):
+    """``run`` reads a perfbench tree's environment and result lines and times
+    the run: the CPU seconds its processes used, and its wall seconds."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "assert sys.argv[1:] == ['--workload', 'w', '--seed', '1', '--seconds', '2.5', '--trace', '0']\n"
+        "sum(range(10 ** 6))\n"
+        "print('environment', json.dumps({'python': 'stub'}))\n"
+        "print(json.dumps({'correct': True, 'metrics': {'queries_per_s': {'value': 7.5}}}))\n"
+    )
+    result = bench_pairs.run(tmp_path, "w", 2.5)
+    assert result["correct"] is True and result["environment"] == {"python": "stub"}
+    assert result["metrics"] == {"queries_per_s": 7.5}
+    assert 0 < result["cpu_s"] and 0 < result["wall_s"]

@@ -236,6 +236,9 @@ class TestRoundTrip:
                 id="insertion-term-number",
             ),
             pytest.param("generic_prompts", ["a", "b"], ConfigError, id="prompts-list"),
+            # Only an absent map takes the defaults.
+            pytest.param("insertion_terms", {}, ConfigError, id="insertion-terms-empty"),
+            pytest.param("generic_prompts", {}, ConfigError, id="prompts-empty"),
         ],
     )
     def test_attribute_declaration_types(self, rng, tmp_path, field, value, error):

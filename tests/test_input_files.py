@@ -321,6 +321,18 @@ def assert_spec_rejected(tmp_path, where, field, value, message=None):
     assert excinfo.value.exit_code == 2
 
 
+@pytest.mark.parametrize("field", ["insertion_terms", "generic_prompts"])
+def test_an_empty_spec_attribute_map_exits_2(tmp_path, field):
+    # Only an absent map takes the defaults, in a spec as in a manifest.
+    body = spec_body()
+    body["attribute"][field] = {}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(body))
+    with pytest.raises(ConfigError, match="every value needs exactly one") as excinfo:
+        load_synth_spec(path)
+    assert excinfo.value.exit_code == 2
+
+
 @pytest.mark.parametrize(
     "male",
     [
